@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   std::printf("equivalence: batched == single and fused == separate on all %d graphs\n",
               wl.num_graphs);
 
-  // -- kernel dispatch sweep: single-core nodes/sec per backend + bf16 -------
+  // -- kernel dispatch sweep: single-core nodes/sec per backend --------------
   // The serving-relevant configuration (the issue's acceptance metric):
   // node-budgeted merged batches served serially at 1 pool thread, so the
   // per-path rows isolate raw kernel throughput from pool scaling, and the
@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
     records.back().num("arena", 0.0);
 
     double best_level_secs = 0.0;
-    for (const SimdLevel l : {SimdLevel::kScalar, SimdLevel::kGeneric, SimdLevel::kAvx2}) {
+    for (const SimdLevel l : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
       if (!simd::available(l)) continue;
       const SimdLevel prev = simd::set_level(l);
       std::vector<std::vector<float>> out;
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
             return 1;
           }
       // All backends must reproduce the reference predictions (bitwise for
-      // scalar/generic; avx2's polynomial transcendentals within their bound).
+      // scalar; avx2's polynomial transcendentals within their bound).
       for (std::size_t i = 0; i < reference.size(); ++i)
         for (std::size_t v = 0; v < reference[i].size(); ++v)
           if (std::abs(out[i][v] - reference[i][v]) > 1e-4F) {
@@ -293,34 +293,13 @@ int main(int argc, char** argv) {
       records.back().num("arena", nn::arena_enabled() ? 1.0 : 0.0);
     }
 
-    // bf16 weights at the best backend: throughput plus the accuracy cost.
-    deepgate::Options bf16_options = options;
-    bf16_options.precision = deepgate::Precision::kBf16;
-    const deepgate::Engine bf16_engine(bf16_options);
-    const deepgate::BatchRunner bf16_runner(bf16_engine, serial_opts);
-    std::vector<std::vector<float>> bf16_out;
-    const double bf16_secs = time_best_of(wl.reps, [&] { bf16_out = bf16_runner.predict(ptrs); });
-    double max_delta = 0.0;
-    for (std::size_t i = 0; i < reference.size(); ++i)
-      for (std::size_t v = 0; v < reference[i].size(); ++v)
-        max_delta = std::max(max_delta,
-                             static_cast<double>(std::abs(bf16_out[i][v] - reference[i][v])));
-    if (max_delta > 1e-2) {
-      std::fprintf(stderr, "FAIL: bf16 predictions drifted %.3g from fp32 (bound 1e-2)\n",
-                   max_delta);
-      return 1;
-    }
-    record("kernels_bf16", 1, serial_opts.node_budget, bf16_secs);
-    records.back().num("speedup_vs_scalar", scalar_secs / bf16_secs);
-    records.back().num("max_abs_delta_vs_fp32", max_delta);
-    records.back().num("arena", nn::arena_enabled() ? 1.0 : 0.0);
     util::set_global_threads(util::default_num_threads());
 
     std::printf("\n%s\n", table.render().c_str());
     std::printf("kernel dispatch: best=%s %.2fx over the scalar no-arena oracle "
-                "single-core; bf16 max |delta| %.2e vs fp32\n\n",
+                "single-core\n\n",
                 simd::level_name(simd::best_available()),
-                best_level_secs > 0.0 ? scalar_secs / best_level_secs : 0.0, max_delta);
+                best_level_secs > 0.0 ? scalar_secs / best_level_secs : 0.0);
   }
 
   if (!bench::write_json_report(ctx, "micro_serving", records)) return 1;

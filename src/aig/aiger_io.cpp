@@ -1,7 +1,9 @@
 #include "aig/aiger_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 namespace dg::aig {
@@ -64,15 +66,30 @@ std::optional<Aig> read_aiger(const std::string& text, std::string* error) {
     set_error(error, "latches not supported (combinational AIGs only)");
     return std::nullopt;
   }
+  if (m > (std::numeric_limits<Lit>::max() >> 1)) {
+    set_error(error, "variable count exceeds the 32-bit literal range");
+    return std::nullopt;
+  }
+  // Every input, output and AND line needs at least one byte of text, so
+  // the header cannot promise more entries than the text holds. Checked
+  // term by term: the sum itself may overflow.
+  const std::size_t n = text.size();
+  if (i > n || o > n - i || a > n - i - o) {
+    set_error(error, "header counts exceed the input size");
+    return std::nullopt;
+  }
   if (m < i + a) {
     set_error(error, "inconsistent header counts");
     return std::nullopt;
   }
 
   Aig aig;
-  // aiger var -> our literal
-  std::vector<Lit> lit_of(m + 1, kLitFalse);
-  lit_of[0] = kLitFalse;
+  // aiger var -> our literal, for the vars defined so far (var 0 is the
+  // constant). Keyed sparsely: m only bounds the var indices, and only the
+  // i + a defined vars take a slot.
+  std::unordered_map<Var, Lit> lit_of;
+  lit_of.reserve(i + a + 1);
+  lit_of.emplace(0, kLitFalse);
 
   std::vector<Lit> in_lits(i);
   for (std::size_t k = 0; k < i; ++k) {
@@ -80,11 +97,12 @@ std::optional<Aig> read_aiger(const std::string& text, std::string* error) {
       set_error(error, "truncated input section");
       return std::nullopt;
     }
-    if (lit_neg(in_lits[k]) || lit_var(in_lits[k]) == 0 || lit_var(in_lits[k]) > m) {
+    const Var v = lit_var(in_lits[k]);
+    if (lit_neg(in_lits[k]) || v == 0 || v > m || lit_of.count(v) != 0) {
       set_error(error, "invalid input literal");
       return std::nullopt;
     }
-    lit_of[lit_var(in_lits[k])] = make_lit(aig.add_input(), false);
+    lit_of.emplace(v, make_lit(aig.add_input(), false));
   }
   std::vector<Lit> out_lits(o);
   for (std::size_t k = 0; k < o; ++k) {
@@ -93,14 +111,11 @@ std::optional<Aig> read_aiger(const std::string& text, std::string* error) {
       return std::nullopt;
     }
   }
-  std::vector<bool> defined(m + 1, false);
-  defined[0] = true;
-  for (Lit il : in_lits) defined[lit_var(il)] = true;
 
   auto resolve = [&](Lit aiger_lit, Lit& out_lit) -> bool {
-    const Var v = lit_var(aiger_lit);
-    if (v > m || !defined[v]) return false;
-    out_lit = lit_of[v] ^ (aiger_lit & 1U);
+    const auto it = lit_of.find(lit_var(aiger_lit));
+    if (it == lit_of.end()) return false;
+    out_lit = it->second ^ (aiger_lit & 1U);
     return true;
   };
 
@@ -110,7 +125,8 @@ std::optional<Aig> read_aiger(const std::string& text, std::string* error) {
       set_error(error, "truncated AND section");
       return std::nullopt;
     }
-    if (lit_neg(lhs) || lit_var(lhs) == 0 || lit_var(lhs) > m || defined[lit_var(lhs)]) {
+    const Var v = lit_var(lhs);
+    if (lit_neg(lhs) || v == 0 || v > m || lit_of.count(v) != 0) {
       set_error(error, "invalid AND definition");
       return std::nullopt;
     }
@@ -119,8 +135,7 @@ std::optional<Aig> read_aiger(const std::string& text, std::string* error) {
       set_error(error, "AND fanin not topologically defined");
       return std::nullopt;
     }
-    lit_of[lit_var(lhs)] = aig.add_and_raw(f0, f1);
-    defined[lit_var(lhs)] = true;
+    lit_of.emplace(v, aig.add_and_raw(f0, f1));
   }
 
   for (Lit ol : out_lits) {

@@ -50,13 +50,6 @@ void copy_params(const Model& src, Model& dst) {
   copy_params(from, to);
 }
 
-// Base behavior: round every parameter to the bf16 grid. Subclasses extend
-// this to also build packed shadows in their Linear sublayers.
-void Model::quantize_bf16() {
-  nn::NamedParams params = named_params();
-  for (auto& [name, t] : params) nn::kern::bf16_round_inplace(t.mutable_value());
-}
-
 Regressor::Regressor(int num_types, int dim, int hidden, util::Rng& rng) {
   heads_.reserve(static_cast<std::size_t>(num_types));
   for (int t = 0; t < num_types; ++t)

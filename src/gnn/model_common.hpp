@@ -107,14 +107,6 @@ class Model {
   virtual void collect(nn::NamedParams& out, const std::string& prefix) const = 0;
   virtual const char* name() const = 0;
 
-  /// Switch the model to bf16 inference weights: round EVERY parameter to
-  /// the bf16 grid in place (idempotent) and build packed bf16 shadows in
-  /// the Linear sublayers. Raw-Tensor parameters (the GRU gate weights) keep
-  /// fp32 storage but hold exactly bf16-representable values, so the whole
-  /// forward is bitwise a function of bf16 weights. Must be re-invoked after
-  /// any parameter mutation (load, training step, copy_params).
-  virtual void quantize_bf16();
-
   /// Families supporting cone-limited re-propagation return a fresh memo
   /// holder; the base returns nullptr and forward_incremental degrades to
   /// plain full forwards.
@@ -171,10 +163,6 @@ class Regressor {
   /// that adding +0.0 would rewrite). No-grad only.
   void forward_rows(const nn::Matrix& h_full, const CircuitGraph& g,
                     const std::vector<int>& nodes, nn::Matrix& out) const;
-
-  void quantize_bf16() {
-    for (nn::Mlp& h : heads_) h.quantize_bf16();
-  }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const;
 
@@ -255,10 +243,6 @@ class DirectedLayer {
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const;
-
-  /// Quantize the aggregator's Linear sublayers; the GRU's raw Tensors are
-  /// rounded by the model-level named-params pass.
-  void quantize_bf16() { agg_->quantize_bf16(); }
 
  private:
   bool reversed_;

@@ -44,8 +44,14 @@ bool save_params(const std::string& path, const NamedParams& params) {
 }
 
 bool load_params(const std::string& path, NamedParams& params) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0);
+  // Bytes left to read; every header-sized allocation is checked against it.
+  const auto remaining = [&]() -> std::uint64_t {
+    return static_cast<std::uint64_t>(file_size - in.tellg());
+  };
   char magic[4];
   in.read(magic, 4);
   if (!in || std::string(magic, 4) != std::string(kMagic, 4)) return false;
@@ -56,12 +62,17 @@ bool load_params(const std::string& path, NamedParams& params) {
   std::unordered_map<std::string, Matrix> loaded;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t name_len = 0;
-    if (!read_pod(in, name_len) || name_len > (1U << 20)) return false;
+    if (!read_pod(in, name_len) || name_len > (1U << 20) || name_len > remaining())
+      return false;
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     std::int32_t rows = 0, cols = 0;
     if (!read_pod(in, rows) || !read_pod(in, cols)) return false;
     if (rows < 0 || cols < 0) return false;
+    // Both factors are below 2^31, so the product cannot overflow.
+    if (static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) >
+        remaining() / sizeof(float))
+      return false;
     Matrix m(rows, cols);
     in.read(reinterpret_cast<char*>(m.data()),
             static_cast<std::streamsize>(m.size() * sizeof(float)));

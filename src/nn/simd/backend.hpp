@@ -7,16 +7,13 @@
 // scalar worker — same per-element floating-point operation order (the
 // scalar oracle accumulates over k in ascending order per output element;
 // vectorizing across independent output elements preserves that), same
-// zero-skip semantics in the matmul family, no FMA contraction (the
-// non-scalar TUs are compiled with -ffp-contract=off). The two deliberate
-// exceptions are sigmoid_n / tanh_n, whose AVX2 versions use a polynomial
-// exp and carry a tested absolute-error bound instead (see
-// tests/kernel_dispatch_test.cpp); the generic backend keeps libm so the
-// scalar <-> generic pair is bitwise on every kernel.
+// zero-skip semantics in the matmul family, no FMA contraction (the avx2 TU
+// is compiled with -ffp-contract=off). The two deliberate exceptions are
+// sigmoid_n / tanh_n, whose AVX2 versions use a polynomial exp and carry a
+// tested absolute-error bound instead (see tests/kernel_dispatch_test.cpp).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace dg::nn::kern {
 
@@ -32,12 +29,6 @@ struct KernelBackend {
   /// C: m x n), accumulating over rows p of A/B in ascending order.
   void (*matmul_tn_cols)(float* c, const float* a, const float* b, int j0, int j1, int k, int m,
                          int n);
-
-  /// C rows [i0, i1) += A * decode(B), B packed bf16 (k x n). Decoding is
-  /// exact; accumulation is fp32 with the same order and zero-skip as
-  /// matmul_rows.
-  void (*matmul_bf16_rows)(float* c, const float* a, const std::uint16_t* b, int i0, int i1,
-                           int k, int n);
 
   /// c[i] += dot(A row i, w) for rows [i0, i1) (A: rows x k, w: k floats,
   /// c: one float per row). Exactly matmul_rows with n == 1: zero-skip on
@@ -57,7 +48,7 @@ struct KernelBackend {
   void (*relu_n)(float* c, const float* a, std::size_t n);
   void (*sigmoid_n)(float* c, const float* a, std::size_t n);
   void (*tanh_n)(float* c, const float* a, std::size_t n);
-  /// c[i] = exp(a[i]). Scalar/generic call libm; AVX2 uses the same
+  /// c[i] = exp(a[i]). Scalar calls libm; AVX2 uses the same
   /// polynomial exp as sigmoid_n/tanh_n and shares their absolute-error
   /// bound + position-invariance contract. Powers the segment softmax.
   void (*exp_n)(float* c, const float* a, std::size_t n);
@@ -66,9 +57,6 @@ struct KernelBackend {
 
 /// The reference oracle: the pre-dispatch scalar loops, verbatim.
 const KernelBackend& scalar_backend();
-
-/// Portable register-blocked backend (baseline ISA, manual 16-wide unroll).
-const KernelBackend& generic_backend();
 
 /// AVX2 intrinsics backend; nullptr when this build has no AVX2 TU
 /// (non-x86-64 target or DEEPGATE_SIMD_AVX2=OFF). Callers must additionally
@@ -82,27 +70,5 @@ const KernelBackend* avx2_backend();
 /// avx2 level only when DEEPGATE_FAST_MATH=on (or simd::set_fast_math).
 /// nullptr exactly when avx2_backend() is.
 const KernelBackend* avx2_fma_backend();
-
-// Scalar workers, exported so other backends can reuse them for kernels they
-// do not specialize (reuse keeps those kernels trivially bitwise-equal).
-namespace scalar_workers {
-void matmul_rows(float* c, const float* a, const float* b, int i0, int i1, int k, int n);
-void matmul_tn_cols(float* c, const float* a, const float* b, int j0, int j1, int k, int m,
-                    int n);
-void matmul_bf16_rows(float* c, const float* a, const std::uint16_t* b, int i0, int i1, int k,
-                      int n);
-void matvec_rows(float* c, const float* a, const float* w, int i0, int i1, int k);
-void add_n(float* c, const float* a, const float* b, std::size_t n);
-void sub_n(float* c, const float* a, const float* b, std::size_t n);
-void mul_n(float* c, const float* a, const float* b, std::size_t n);
-void scale_n(float* c, const float* a, float s, std::size_t n);
-void acc_n(float* a, const float* b, std::size_t n);
-void axpy_n(float* a, float alpha, const float* b, std::size_t n);
-void relu_n(float* c, const float* a, std::size_t n);
-void sigmoid_n(float* c, const float* a, std::size_t n);
-void tanh_n(float* c, const float* a, std::size_t n);
-void exp_n(float* c, const float* a, std::size_t n);
-void copy_n(float* dst, const float* src, std::size_t n);
-}  // namespace scalar_workers
 
 }  // namespace dg::nn::kern

@@ -41,8 +41,6 @@ const KernelBackend* table_for(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return &scalar_backend();
-    case SimdLevel::kGeneric:
-      return &generic_backend();
     case SimdLevel::kAvx2:
       // The FMA overlay rides the avx2 level: same ISA gate (the CPUID check
       // required both avx2 and fma bits), strictly opt-in.
@@ -87,7 +85,6 @@ namespace simd {
 bool available(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
-    case SimdLevel::kGeneric:
       return true;
     case SimdLevel::kAvx2:
       return avx2_backend() != nullptr && cpu_has_avx2_fma();
@@ -96,7 +93,7 @@ bool available(SimdLevel level) {
 }
 
 SimdLevel best_available() {
-  return available(SimdLevel::kAvx2) ? SimdLevel::kAvx2 : SimdLevel::kGeneric;
+  return available(SimdLevel::kAvx2) ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 }
 
 SimdLevel active() {
@@ -121,8 +118,6 @@ const char* level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kGeneric:
-      return "generic";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -142,7 +137,6 @@ bool set_fast_math(bool on) {
 
 SimdLevel resolve(const std::string& value) {
   if (value == "scalar") return SimdLevel::kScalar;
-  if (value == "generic") return SimdLevel::kGeneric;
   if (value == "avx2") {
     if (available(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
     util::log_warn("DEEPGATE_SIMD=avx2 requested but unavailable on this build/CPU; ",
@@ -159,18 +153,6 @@ SimdLevel resolve(const std::string& value) {
 const KernelBackend& backend() {
   ensure_initialized();
   return *g_backend.load(std::memory_order_relaxed);
-}
-
-const char* precision_name(Precision p) {
-  return p == Precision::kBf16 ? "bf16" : "fp32";
-}
-
-Precision precision_from_env() {
-  const std::string value = lowered(util::env_str("DEEPGATE_PRECISION", "fp32"));
-  if (value == "bf16") return Precision::kBf16;
-  if (value != "fp32" && !value.empty())
-    util::log_warn("DEEPGATE_PRECISION: unknown value '", value, "'; using fp32");
-  return Precision::kFp32;
 }
 
 }  // namespace dg::nn::kern

@@ -1,10 +1,9 @@
 // Runtime SIMD dispatch for the numeric kernels.
 //
 // The public kernels in nn/kernels.hpp route their inner loops through one
-// of three backends:
+// of two backends:
 //
 //   scalar   — the original loops, kept verbatim as the reference oracle
-//   generic  — portable register-blocked loops (baseline ISA, no intrinsics)
 //   avx2     — AVX2 intrinsics (x86-64 only; the TU is compiled with
 //              -mavx2 -mfma -ffp-contract=off and is entered only after a
 //              runtime CPUID check, so the rest of the build stays
@@ -15,9 +14,10 @@
 //
 //   DEEPGATE_SIMD = native   pick the best backend this CPU supports (default)
 //                 | scalar   force the scalar oracle (bit-exact pre-SIMD paths)
-//                 | generic  force the portable blocked backend
 //                 | avx2     force AVX2 (falls back to best available + warns
 //                            when the CPU or build lacks it)
+//
+// Any other value resolves to native with a warning.
 //
 // Equivalence contract (enforced by the `kernels`-labeled test suites): all
 // dispatched kernels are bitwise-equal across backends, except the
@@ -28,12 +28,8 @@
 // the avx2_fma backend: the matmul family contracts mul+add into FMAs (one
 // rounding per step), trading the bitwise contract for a tolerance bound
 // (see tests/kernel_dispatch_test.cpp). Strictly opt-in; it never affects
-// the scalar/generic levels, and resolves to plain avx2 when the build or
-// CPU lacks the TU.
-//
-// DEEPGATE_PRECISION = fp32 | bf16 selects the default Engine inference
-// precision (see core/deepgate.hpp); it is resolved here so the knob lives
-// next to DEEPGATE_SIMD.
+// the scalar level, and resolves to plain avx2 when the build or CPU lacks
+// the TU.
 #pragma once
 
 #include <string>
@@ -42,11 +38,7 @@ namespace dg::nn::kern {
 
 struct KernelBackend;
 
-enum class SimdLevel { kScalar = 0, kGeneric = 1, kAvx2 = 2 };
-
-/// Engine inference precision: fp32 weights, or weights rounded to the bf16
-/// grid with packed bf16 storage in Linear layers (fp32 accumulation).
-enum class Precision { kFp32, kBf16 };
+enum class SimdLevel { kScalar, kAvx2 };
 
 namespace simd {
 
@@ -66,7 +58,7 @@ SimdLevel set_level(SimdLevel level);
 
 const char* level_name(SimdLevel level);
 
-/// Resolve a DEEPGATE_SIMD value ("scalar" | "generic" | "avx2" | "native";
+/// Resolve a DEEPGATE_SIMD value ("scalar" | "avx2" | "native";
 /// unknown values resolve to native with a warning).
 SimdLevel resolve(const std::string& value);
 
@@ -84,10 +76,5 @@ bool set_fast_math(bool on);
 
 /// The active backend table (lazily resolved from DEEPGATE_SIMD).
 const KernelBackend& backend();
-
-const char* precision_name(Precision p);
-
-/// DEEPGATE_PRECISION = fp32 (default) | bf16.
-Precision precision_from_env();
 
 }  // namespace dg::nn::kern

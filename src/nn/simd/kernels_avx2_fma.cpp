@@ -16,23 +16,8 @@
 
 #include <immintrin.h>
 
-#include <cstring>
-
 namespace dg::nn::kern {
 namespace {
-
-// Internal-linkage bf16 decode, same COMDAT rationale as kernels_avx2.cpp.
-inline float bf16_decode1(std::uint16_t v) {
-  const std::uint32_t bits = static_cast<std::uint32_t>(v) << 16;
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-
-inline __m256 load_bf16x8(const std::uint16_t* p) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-}
 
 void matmul_rows_fma(float* c, const float* a, const float* b, int i0, int i1, int k, int n) {
   for (int i = i0; i < i1; ++i) {
@@ -76,53 +61,6 @@ void matmul_rows_fma(float* c, const float* a, const float* b, int i0, int i1, i
       if (av == 0.0F) continue;
       const float* brow = b + static_cast<std::size_t>(p) * n;
       for (int jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-    }
-  }
-}
-
-void matmul_bf16_rows_fma(float* c, const float* a, const std::uint16_t* b, int i0, int i1,
-                          int k, int n) {
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    int j = 0;
-    for (; j + 32 <= n; j += 32) {
-      float* cj = crow + j;
-      __m256 a0 = _mm256_loadu_ps(cj);
-      __m256 a1 = _mm256_loadu_ps(cj + 8);
-      __m256 a2 = _mm256_loadu_ps(cj + 16);
-      __m256 a3 = _mm256_loadu_ps(cj + 24);
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0F) continue;
-        const __m256 vav = _mm256_set1_ps(av);
-        const std::uint16_t* bj = b + static_cast<std::size_t>(p) * n + j;
-        a0 = _mm256_fmadd_ps(vav, load_bf16x8(bj), a0);
-        a1 = _mm256_fmadd_ps(vav, load_bf16x8(bj + 8), a1);
-        a2 = _mm256_fmadd_ps(vav, load_bf16x8(bj + 16), a2);
-        a3 = _mm256_fmadd_ps(vav, load_bf16x8(bj + 24), a3);
-      }
-      _mm256_storeu_ps(cj, a0);
-      _mm256_storeu_ps(cj + 8, a1);
-      _mm256_storeu_ps(cj + 16, a2);
-      _mm256_storeu_ps(cj + 24, a3);
-    }
-    for (; j + 8 <= n; j += 8) {
-      float* cj = crow + j;
-      __m256 acc = _mm256_loadu_ps(cj);
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0F) continue;
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(av),
-                              load_bf16x8(b + static_cast<std::size_t>(p) * n + j), acc);
-      }
-      _mm256_storeu_ps(cj, acc);
-    }
-    for (int p = 0; p < k && j < n; ++p) {
-      const float av = arow[p];
-      if (av == 0.0F) continue;
-      const std::uint16_t* brow = b + static_cast<std::size_t>(p) * n;
-      for (int jj = j; jj < n; ++jj) crow[jj] += av * bf16_decode1(brow[jj]);
     }
   }
 }
@@ -193,7 +131,6 @@ const KernelBackend* avx2_fma_backend() {
     t.name = "avx2_fma";
     t.matmul_rows = &matmul_rows_fma;
     t.matmul_tn_cols = &matmul_tn_cols_fma;
-    t.matmul_bf16_rows = &matmul_bf16_rows_fma;
     t.matvec_rows = &matvec_rows_fma;
     t.axpy_n = &axpy_n_fma;
     return t;

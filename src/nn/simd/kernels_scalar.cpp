@@ -14,12 +14,10 @@
 //  * transcendental maps call libm (std::exp / std::tanh) per element.
 #include "nn/simd/backend.hpp"
 
-#include "nn/simd/bf16.hpp"
-
 #include <cmath>
 
 namespace dg::nn::kern {
-namespace scalar_workers {
+namespace {
 
 void matmul_rows(float* c, const float* a, const float* b, int i0, int i1, int k, int n) {
   for (int i = i0; i < i1; ++i) {
@@ -44,20 +42,6 @@ void matmul_tn_cols(float* c, const float* a, const float* b, int j0, int j1, in
       if (av == 0.0F) continue;
       float* crow = c + static_cast<std::size_t>(i) * n;
       for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-void matmul_bf16_rows(float* c, const float* a, const std::uint16_t* b, int i0, int i1, int k,
-                      int n) {
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0F) continue;
-      const std::uint16_t* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * bf16_to_float(brow[j]);
     }
   }
 }
@@ -117,26 +101,25 @@ void copy_n(float* dst, const float* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
 }
 
-}  // namespace scalar_workers
+}  // namespace
 
 const KernelBackend& scalar_backend() {
   static const KernelBackend table = {
       "scalar",
-      &scalar_workers::matmul_rows,
-      &scalar_workers::matmul_tn_cols,
-      &scalar_workers::matmul_bf16_rows,
-      &scalar_workers::matvec_rows,
-      &scalar_workers::add_n,
-      &scalar_workers::sub_n,
-      &scalar_workers::mul_n,
-      &scalar_workers::scale_n,
-      &scalar_workers::acc_n,
-      &scalar_workers::axpy_n,
-      &scalar_workers::relu_n,
-      &scalar_workers::sigmoid_n,
-      &scalar_workers::tanh_n,
-      &scalar_workers::exp_n,
-      &scalar_workers::copy_n,
+      &matmul_rows,
+      &matmul_tn_cols,
+      &matvec_rows,
+      &add_n,
+      &sub_n,
+      &mul_n,
+      &scale_n,
+      &acc_n,
+      &axpy_n,
+      &relu_n,
+      &sigmoid_n,
+      &tanh_n,
+      &exp_n,
+      &copy_n,
   };
   return table;
 }

@@ -265,7 +265,7 @@ Stats Server::stats() const {
     dg::util::MutexLock lock(stats_mu_);
     snapshot = stats_;
   }
-  const MergeCacheStats cache = merge_cache_.stats();
+  const dg::gnn::MergeCacheStats cache = merge_cache_.stats();
   snapshot.merge_cache_hits = cache.hits;
   snapshot.merge_cache_misses = cache.misses;
   snapshot.queue_depth = admission_.size();

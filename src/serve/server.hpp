@@ -43,9 +43,9 @@
 #pragma once
 
 #include "gnn/circuit_graph.hpp"
+#include "gnn/merge_cache.hpp"
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
-#include "serve/merge_cache.hpp"
 #include "serve/policy.hpp"
 #include "serve/queue.hpp"
 #include "util/mutex.hpp"
@@ -239,7 +239,7 @@ class Server {
   const Engine& engine_;
   const ServerOptions options_;
   std::unique_ptr<PackPolicy> policy_;
-  MergeCache merge_cache_;
+  dg::gnn::MergeCache merge_cache_;
 
   BoundedQueue<Pending> admission_;
   BoundedQueue<Work> work_queue_;

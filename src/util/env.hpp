@@ -10,13 +10,9 @@
 //   DEEPGATE_BENCH_JSON = <path>             (bench harness JSON output)
 //   DEEPGATE_DATA_DIR = <path>               (on-disk dataset shard cache;
 //                                             unset = caching disabled)
-//   DEEPGATE_SIMD = scalar | generic | avx2 | native
-//                                            (inference kernel backend;
+//   DEEPGATE_SIMD = scalar | avx2 | native  (inference kernel backend;
 //                                             default native = best the CPU
 //                                             supports — nn/simd/dispatch.hpp)
-//   DEEPGATE_PRECISION = fp32 | bf16         (default Engine inference weight
-//                                             precision; bf16 = packed bf16
-//                                             weights, fp32 accumulation)
 //   DEEPGATE_ARENA = on | off                (no-grad forward buffer arena,
 //                                             default on — nn/arena.hpp;
 //                                             off = plain heap per forward)

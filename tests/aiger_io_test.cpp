@@ -54,6 +54,40 @@ TEST(AigerIo, RejectsUndefinedLiteral) {
   EXPECT_FALSE(read_aiger("aag 3 2 0 1 1\n2\n4\n99\n6 2 4\n", &err).has_value());
 }
 
+// Hostile headers: the reader must fail through its error channel without
+// allocating by the header's claims.
+TEST(AigerIo, RejectsVarCountPastLiteralRange) {
+  std::string err;
+  // m + 1 wraps to 0 in size_t arithmetic.
+  EXPECT_FALSE(read_aiger("aag 18446744073709551615 0 0 0 0", &err).has_value());
+  EXPECT_NE(err.find("literal range"), std::string::npos) << err;
+  // Would size a 16 GB literal table if tables followed m.
+  err.clear();
+  EXPECT_FALSE(read_aiger("aag 4000000000 0 0 0 0", &err).has_value());
+  EXPECT_NE(err.find("literal range"), std::string::npos) << err;
+}
+
+TEST(AigerIo, LargeVarCountWithFewDefinitionsStaysSmall) {
+  // A legal header whose max var index dwarfs its definitions: var 2^31 - 1
+  // is addressable, and only the two defined vars take table slots.
+  std::string err;
+  auto a = read_aiger("aag 2147483647 1 0 1 1\n4294967294\n2\n2 4294967294 4294967294\n", &err);
+  ASSERT_TRUE(a.has_value()) << err;
+  EXPECT_EQ(a->num_inputs(), 1U);
+  EXPECT_EQ(a->num_ands(), 1U);
+}
+
+TEST(AigerIo, RejectsCountsBeyondInputSize) {
+  std::string err;
+  // i + a overflows to 0 and would pass the m >= i + a consistency check.
+  EXPECT_FALSE(
+      read_aiger("aag 3 9223372036854775808 0 0 9223372036854775808", &err).has_value());
+  EXPECT_NE(err.find("input size"), std::string::npos) << err;
+  err.clear();
+  EXPECT_FALSE(read_aiger("aag 3 2 0 1000 1\n2\n4\n6\n6 2 4\n", &err).has_value());
+  EXPECT_NE(err.find("input size"), std::string::npos) << err;
+}
+
 TEST(AigerIo, RoundTripPreservesSemantics) {
   // Property: write(read(x)) simulates identically to x on random patterns,
   // across randomized generated circuits.

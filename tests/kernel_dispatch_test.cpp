@@ -6,11 +6,8 @@
 //  * the zero-skip oracle property (exact zeros, negative zeros, denormals,
 //    Inf-bearing skipped B rows) — see nn/kernels.hpp;
 //  * bit-identical results at every DEEPGATE_THREADS value;
-//  * sigmoid/tanh within the stated absolute bound on avx2 (bitwise on
-//    generic, which keeps libm);
-//  * bf16: exact decode, round-to-nearest-even, and the key guarantee
-//    matmul_bf16(a, to_bf16(w)) == matmul(a, bf16_round(w)) bitwise;
-//  * Engine-level bf16 inference within a measured accuracy bound of fp32.
+//  * sigmoid/tanh within the stated absolute bound on avx2;
+//  * the opt-in fast-math (FMA) overlay within its tolerance bound.
 //
 // The CI kernel-dispatch matrix re-runs this suite with DEEPGATE_SIMD set to
 // each level, so the dispatcher's env path is proven too, not just
@@ -20,7 +17,6 @@
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
 #include "nn/simd/backend.hpp"
-#include "nn/simd/bf16.hpp"
 #include "nn/simd/dispatch.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -39,7 +35,7 @@ namespace {
 
 std::vector<SimdLevel> runnable_levels() {
   std::vector<SimdLevel> levels;
-  for (SimdLevel l : {SimdLevel::kScalar, SimdLevel::kGeneric, SimdLevel::kAvx2})
+  for (SimdLevel l : {SimdLevel::kScalar, SimdLevel::kAvx2})
     if (simd::available(l)) levels.push_back(l);
   return levels;
 }
@@ -255,7 +251,7 @@ TEST(KernelDispatch, ThreadCountInvariance) {
   util::set_global_threads(util::default_num_threads());
 }
 
-// generic keeps libm => bitwise; avx2 uses polynomial exp => bounded.
+// scalar keeps libm => bitwise; avx2 uses polynomial exp => bounded.
 TEST(KernelDispatch, TranscendentalMapsWithinBound) {
   constexpr float kBound = 2e-6F;
   Matrix x(1, 2003);
@@ -325,71 +321,11 @@ TEST(KernelDispatch, TranscendentalMapsArePositionInvariant) {
   }
 }
 
-TEST(KernelDispatch, Bf16RoundTripAndRounding) {
-  // Values already on the bf16 grid decode back exactly.
-  for (const float v : {0.0F, 1.0F, -2.0F, 0.5F, -0.375F, 256.0F}) {
-    EXPECT_EQ(v, bf16_to_float(bf16_from_float(v)));
-    EXPECT_EQ(v, bf16_round(v));
-  }
-  // Sign of zero survives.
-  EXPECT_TRUE(std::signbit(bf16_round(-0.0F)));
-  EXPECT_FALSE(std::signbit(bf16_round(0.0F)));
-  // Infinities are representable; NaN stays NaN.
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(kInf, bf16_round(kInf));
-  EXPECT_EQ(-kInf, bf16_round(-kInf));
-  EXPECT_TRUE(std::isnan(bf16_round(std::numeric_limits<float>::quiet_NaN())));
-  // Round-to-nearest-even at the midpoint: bf16 keeps 7 mantissa bits, so
-  // 1 + 2^-8 is exactly between bf16(1.0) and bf16(1 + 2^-7); ties go to
-  // the even mantissa (1.0).
-  EXPECT_EQ(1.0F, bf16_round(1.0F + 0x1p-8F));
-  // Just above the midpoint rounds up.
-  EXPECT_EQ(1.0F + 0x1p-7F, bf16_round(1.0F + 0x1p-8F + 0x1p-15F));
-  // The next midpoint (odd mantissa below) rounds UP to even.
-  EXPECT_EQ(1.0F + 0x1p-6F, bf16_round(1.0F + 0x1p-7F + 0x1p-8F));
-  // Relative error bound 2^-8 for normal values.
-  util::Rng rng(505);
-  const Matrix m = normal(16, 16, 3.0F, rng);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const float v = m.data()[i];
-    EXPECT_LE(std::abs(bf16_round(v) - v), std::abs(v) * 0x1p-8F) << v;
-  }
-  // Idempotence: rounding is a projection.
-  for (std::size_t i = 0; i < m.size(); ++i)
-    EXPECT_EQ(bf16_round(m.data()[i]), bf16_round(bf16_round(m.data()[i])));
-}
-
-// The guarantee the Engine's bf16 mode rests on: serving from the packed
-// shadow is bitwise the same as serving fp32 weights that sit on the bf16
-// grid — on every backend, every shape, every thread count covered above.
-TEST(KernelDispatch, MatmulBf16EqualsRoundedFp32Bitwise) {
-  util::Rng rng(606);
-  for (const Shape& s : kShapes) {
-    const Matrix a = salted(s.m, s.k, rng, 41);
-    const Matrix w = normal(s.k, s.n, 1.0F, rng);
-    const Bf16Matrix wq = to_bf16(w);
-    Matrix w_rounded = w;
-    bf16_round_inplace(w_rounded);
-    expect_bitwise(from_bf16(wq), w_rounded, "decode == rounded");
-
-    Matrix want;
-    {
-      ScopedLevel scalar(SimdLevel::kScalar);
-      want = matmul(a, w_rounded);
-    }
-    for (SimdLevel l : runnable_levels()) {
-      ScopedLevel level(l);
-      const std::string tag = std::string(simd::level_name(l)) + " " + std::to_string(s.m) +
-                              "x" + std::to_string(s.k) + "x" + std::to_string(s.n);
-      expect_bitwise(matmul_bf16(a, wq), want, "matmul_bf16 " + tag);
-      expect_bitwise(matmul(a, w_rounded), want, "matmul rounded " + tag);
-    }
-  }
-}
-
 TEST(KernelDispatch, ResolveAndNames) {
   EXPECT_EQ(SimdLevel::kScalar, simd::resolve("scalar"));
-  EXPECT_EQ(SimdLevel::kGeneric, simd::resolve("generic"));
+  // The removed portable backend's name is an unknown value now: it warns
+  // and resolves like native.
+  EXPECT_EQ(simd::best_available(), simd::resolve("generic"));
   EXPECT_EQ(simd::best_available(), simd::resolve("native"));
   EXPECT_EQ(simd::best_available(), simd::resolve("no-such-backend"));
   EXPECT_EQ(simd::best_available(), simd::resolve(""));
@@ -399,62 +335,12 @@ TEST(KernelDispatch, ResolveAndNames) {
     EXPECT_EQ(simd::best_available(), simd::resolve("avx2"));
   }
   EXPECT_STREQ("scalar", simd::level_name(SimdLevel::kScalar));
-  EXPECT_STREQ("generic", simd::level_name(SimdLevel::kGeneric));
   EXPECT_STREQ("avx2", simd::level_name(SimdLevel::kAvx2));
-  EXPECT_STREQ("fp32", precision_name(Precision::kFp32));
-  EXPECT_STREQ("bf16", precision_name(Precision::kBf16));
   // The scalar level is always runnable and force-able.
   EXPECT_TRUE(simd::available(SimdLevel::kScalar));
   const SimdLevel prev = simd::set_level(SimdLevel::kScalar);
   EXPECT_EQ(SimdLevel::kScalar, simd::active());
   simd::set_level(prev);
-}
-
-// End-to-end: a bf16 Engine reproduces the fp32 Engine's predictions within
-// a measured bound on the Table II/III eval metric, and its clones serve
-// bit-exactly (the shadow rebuild in clone_model works).
-TEST(KernelDispatch, EngineBf16AccuracyAndCloneParity) {
-  // Weight-space rounding is 2^-8 relative; through dim=12 x 3 iterations of
-  // sigmoid/tanh-bounded propagation the observed prediction delta stays
-  // well under 1e-2 on the [0, 1] probability outputs.
-  constexpr float kPredBound = 1e-2F;
-
-  const deepgate::CircuitGraph g = deepgate::prepare(dg::data::gen_squarer(4), 2000, 9);
-
-  deepgate::Options fp32_opts;
-  fp32_opts.model.dim = 12;
-  fp32_opts.model.iterations = 3;
-  fp32_opts.model.mlp_hidden = 8;
-  fp32_opts.model.seed = 11;
-  fp32_opts.precision = Precision::kFp32;
-  deepgate::Options bf16_opts = fp32_opts;
-  bf16_opts.precision = Precision::kBf16;
-
-  const deepgate::Engine fp32_engine(fp32_opts);
-  const deepgate::Engine bf16_engine(bf16_opts);
-
-  const std::vector<float> p_fp32 = fp32_engine.predict_probabilities(g);
-  const std::vector<float> p_bf16 = bf16_engine.predict_probabilities(g);
-  ASSERT_EQ(p_fp32.size(), p_bf16.size());
-  float max_delta = 0.0F;
-  for (std::size_t i = 0; i < p_fp32.size(); ++i)
-    max_delta = std::max(max_delta, std::abs(p_fp32[i] - p_bf16[i]));
-  EXPECT_LE(max_delta, kPredBound);
-  EXPECT_GT(max_delta, 0.0F) << "bf16 rounding should be observable";
-
-  // Eval metric (avg prediction error, Eq. 8) moves by at most the
-  // prediction bound.
-  const double eval_fp32 = fp32_engine.evaluate({g});
-  const double eval_bf16 = bf16_engine.evaluate({g});
-  EXPECT_NEAR(eval_fp32, eval_bf16, kPredBound);
-
-  // Clone parity: the replica a serve lane would use is bit-exact with the
-  // engine's own forward.
-  const auto clone = bf16_engine.clone_model();
-  dg::nn::NoGradGuard no_grad;
-  const Matrix clone_pred = clone->predict(g).value();
-  for (std::size_t i = 0; i < p_bf16.size(); ++i)
-    EXPECT_EQ(p_bf16[i], clone_pred.at(static_cast<int>(i), 0)) << i;
 }
 
 /// RAII: force the fast-math overlay, restore the previous setting on exit.
@@ -468,7 +354,7 @@ class ScopedFastMath {
 };
 
 // The DEEPGATE_FAST_MATH overlay must be strictly opt-in, ride the avx2
-// level only, and leave scalar/generic untouched.
+// level only, and leave scalar untouched.
 TEST(KernelDispatch, FastMathOverlayInstallsOnlyOnAvx2) {
   if (dg::util::env_str("DEEPGATE_FAST_MATH") != "on") {
     EXPECT_FALSE(simd::fast_math()) << "fast math must default to off";
@@ -479,10 +365,6 @@ TEST(KernelDispatch, FastMathOverlayInstallsOnlyOnAvx2) {
   {
     ScopedLevel scalar(SimdLevel::kScalar);
     EXPECT_STREQ("scalar", backend().name);
-  }
-  {
-    ScopedLevel generic(SimdLevel::kGeneric);
-    EXPECT_STREQ("generic", backend().name);
   }
   if (simd::available(SimdLevel::kAvx2)) {
     ScopedLevel avx2(SimdLevel::kAvx2);
@@ -518,16 +400,14 @@ TEST(KernelDispatch, FastMathMatmulFamilyWithinTolerance) {
     const Matrix b = normal(s.k, s.n, 1.0F, rng);
     const Matrix at = normal(s.k, s.m, 1.0F, rng);
     const Matrix c0 = normal(s.m, s.n, 1.0F, rng);
-    const Bf16Matrix wq = to_bf16(b);
 
-    Matrix want, want_acc, want_tn, want_bf16, want_axpy;
+    Matrix want, want_acc, want_tn, want_axpy;
     {
       ScopedLevel scalar(SimdLevel::kScalar);
       want = matmul(a, b);
       want_acc = c0;
       matmul_acc(want_acc, a, b);
       want_tn = matmul_tn(at, b);
-      want_bf16 = matmul_bf16(a, wq);
       want_axpy = c0;
       axpy(want_axpy, -0.3F, c0);
     }
@@ -541,7 +421,6 @@ TEST(KernelDispatch, FastMathMatmulFamilyWithinTolerance) {
     matmul_acc(acc_res, a, b);
     expect_close(acc_res, want_acc, "fma matmul_acc " + tag);
     expect_close(matmul_tn(at, b), want_tn, "fma matmul_tn " + tag);
-    expect_close(matmul_bf16(a, wq), want_bf16, "fma matmul_bf16 " + tag);
     Matrix axpy_res = c0;
     axpy(axpy_res, -0.3F, c0);
     expect_close(axpy_res, want_axpy, "fma axpy " + tag);

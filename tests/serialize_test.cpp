@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -92,6 +93,33 @@ TEST(Serialize, RejectsGarbageFile) {
     out << "not a checkpoint";
   }
   util::Rng rng(5);
+  Linear lin(2, 2, rng);
+  NamedParams params;
+  lin.collect(params, "lin");
+  EXPECT_FALSE(load_params(path, params));
+  std::remove(path.c_str());
+}
+
+// A checkpoint header is untrusted input: a tensor whose claimed size exceeds
+// the bytes left in the file must be rejected before anything is allocated.
+TEST(Serialize, RejectsTensorLargerThanFile) {
+  const std::string path = temp_path("dg_huge_tensor.dgtp");
+  {
+    std::ofstream out(path, std::ios::binary);
+    const auto put_u32 = [&](std::uint32_t v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    out.write("DGTP", 4);
+    put_u32(1);  // version
+    put_u32(1);  // one entry
+    put_u32(5);
+    out.write("lin.w", 5);
+    put_u32(1U << 30);  // rows
+    put_u32(1U << 30);  // cols: 2^60 floats claimed, none present
+    put_u32(0);
+  }
+  EXPECT_LT(std::filesystem::file_size(path), 40U);
+  util::Rng rng(7);
   Linear lin(2, 2, rng);
   NamedParams params;
   lin.collect(params, "lin");

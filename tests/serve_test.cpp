@@ -9,9 +9,9 @@
 #include "core/deepgate.hpp"
 #include "data/generators_large.hpp"
 #include "data/generators_small.hpp"
+#include "gnn/merge_cache.hpp"
 #include "nn/arena.hpp"
 #include "obs/metrics.hpp"
-#include "serve/merge_cache.hpp"
 #include "util/lru.hpp"
 
 #include <gtest/gtest.h>
@@ -570,7 +570,7 @@ TEST(MergeCache, HitsOnRepeatedCompositionAndEvictsLru) {
   std::vector<const CircuitGraph*> cd = {&graphs[2], &graphs[3]};
   std::vector<const CircuitGraph*> ba = {&graphs[1], &graphs[0]};  // order matters
 
-  deepgate::serve::MergeCache cache(2);
+  dg::gnn::MergeCache cache(2);
   const auto first = cache.merged(ab);
   EXPECT_TRUE(gnn::bit_equal(*first, CircuitGraph::merge(ab)));
   EXPECT_EQ(cache.merged(ab).get(), first.get());  // same object back
@@ -595,7 +595,7 @@ TEST(MergeCache, HitsOnRepeatedCompositionAndEvictsLru) {
 TEST(MergeCache, CapacityZeroDisables) {
   const auto graphs = mixed_graphs();
   std::vector<const CircuitGraph*> ab = {&graphs[0], &graphs[1]};
-  deepgate::serve::MergeCache cache(0);
+  dg::gnn::MergeCache cache(0);
   EXPECT_NE(cache.merged(ab).get(), cache.merged(ab).get());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);

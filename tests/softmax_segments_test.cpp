@@ -29,8 +29,7 @@ namespace {
 
 std::vector<kern::SimdLevel> runnable_levels() {
   std::vector<kern::SimdLevel> levels;
-  for (kern::SimdLevel l :
-       {kern::SimdLevel::kScalar, kern::SimdLevel::kGeneric, kern::SimdLevel::kAvx2})
+  for (kern::SimdLevel l : {kern::SimdLevel::kScalar, kern::SimdLevel::kAvx2})
     if (kern::simd::available(l)) levels.push_back(l);
   return levels;
 }

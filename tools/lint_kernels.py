@@ -8,9 +8,9 @@ Rules (each violation prints one `rule: file:line: message` line; exit 1):
                             in the designated per-TU-flagged backends,
                             src/nn/simd/kernels_avx2*.cpp. Everything else
                             must stay portable: an intrinsic leaking into a
-                            generic TU compiles only by accident of the host
-                            compiler flags and breaks the scalar-oracle CI
-                            matrix.
+                            baseline-ISA TU compiles only by accident of the
+                            host compiler flags and breaks the scalar-oracle
+                            CI matrix.
 
   kernels-stray-simd-flag   -mavx2 / -mfma may be applied only via
                             set_source_files_properties(...) blocks whose
@@ -20,12 +20,13 @@ Rules (each violation prints one `rule: file:line: message` line; exit 1):
                             pre-AVX2 hosts despite the CPUID dispatch.
 
   kernels-fp-contract       Every vector TU (src/nn/simd/kernels_*.cpp except
-                            the scalar oracle) must be compiled with
-                            -ffp-contract=off so mul+add stays bitwise equal
-                            to the oracle. Documented exception: the opt-in
-                            DEEPGATE_FAST_MATH TU kernels_avx2_fma.cpp, which
-                            trades the bitwise contract for a tolerance bound
-                            and must NOT set it.
+                            the scalar oracle; today kernels_avx2.cpp) must
+                            be compiled with -ffp-contract=off so mul+add
+                            stays bitwise equal to the oracle. Documented
+                            exception: the opt-in DEEPGATE_FAST_MATH TU
+                            kernels_avx2_fma.cpp, which trades the bitwise
+                            contract for a tolerance bound and must NOT set
+                            it.
 
   kernels-raw-mutex         std::mutex / std::condition_variable /
                             std::lock_guard / std::unique_lock /
