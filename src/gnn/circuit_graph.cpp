@@ -53,8 +53,55 @@ LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
   return batch;
 }
 
-/// Level layout (num_levels, nodes_at_level, level_order, node_pos) from the
-/// defining `level` array. Shared by finalize() and the delta rebuild.
+/// Order-sensitive 64-bit fold (boost-style combine, SplitMix64 finalizer).
+std::uint64_t mix_key(std::uint64_t h, std::uint64_t v) {
+  std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// CircuitGraph::h0_key of a solo graph, in level order (fanins first, as
+/// levels are topological). Fanins come from a CSR counted out of the edge
+/// list, so each node's run keeps the canonical order; an open-addressing
+/// set of the keys (0 = empty slot) rehashes duplicates. Merged graphs take
+/// their parts' keys instead (merge()).
+void rebuild_h0_keys(CircuitGraph& g) {
+  const auto idx = [](int v) { return static_cast<std::size_t>(v); };
+  const std::size_t n = idx(g.num_nodes);
+  std::vector<int> start(n + 1, 0);
+  for (const auto& e : g.edges) ++start[idx(e.second) + 1];
+  for (std::size_t v = 0; v < n; ++v) start[v + 1] += start[v];
+  std::vector<int> fanin(g.edges.size());
+  std::vector<int> fill(start.begin(), start.end() - 1);
+  for (const auto& [src, dst] : g.edges) fanin[idx(fill[idx(dst)]++)] = src;
+
+  std::size_t mask = 1;
+  while (mask + 1 < 2 * n) mask = 2 * mask + 1;
+  std::vector<std::uint64_t> slots(mask + 1, 0);
+  std::uint64_t sources = 0;
+  g.h0_key.assign(n, 0);
+  for (const int node : g.level_order) {
+    const std::size_t v = idx(node);
+    std::uint64_t k = mix_key(0x6a09e667f3bcc909ULL, static_cast<std::uint64_t>(g.type_id[v]));
+    if (start[v] == start[v + 1]) k = mix_key(k, sources++);
+    for (int i = start[v]; i < start[v + 1]; ++i) k = mix_key(k, g.h0_key[idx(fanin[idx(i)])]);
+    for (;; k = mix_key(k, 1)) {
+      k += k == 0 ? 1 : 0;
+      std::size_t s = k & mask;
+      while (slots[s] != 0 && slots[s] != k) s = (s + 1) & mask;
+      if (slots[s] == 0) {
+        slots[s] = k;
+        break;
+      }
+    }
+    g.h0_key[v] = k;
+  }
+}
+
+/// Level layout (num_levels, nodes_at_level, level_order, node_pos) and the
+/// h0 keys from the defining fields. Shared by finalize() and the delta
+/// rebuild.
 void rebuild_layout(CircuitGraph& g) {
   g.num_levels = 0;
   for (int l : g.level) g.num_levels = std::max(g.num_levels, l + 1);
@@ -72,6 +119,7 @@ void rebuild_layout(CircuitGraph& g) {
       g.level_order.push_back(nodes[i]);
     }
   }
+  if (g.members.empty()) rebuild_h0_keys(g);
 }
 
 /// Undirected GCN arrays + per-type node groups. Shared by finalize() and
@@ -218,13 +266,6 @@ void rebuild_after_delta(CircuitGraph& g, const std::vector<int>& old_level,
     }
   }
 
-  std::vector<std::vector<int>> fanins(idx(g.num_nodes));
-  std::vector<std::vector<int>> fanouts(idx(g.num_nodes));
-  for (const auto& [src, dst] : g.edges) {
-    fanins[idx(dst)].push_back(src);
-    fanouts[idx(src)].push_back(dst);
-  }
-
   std::vector<std::uint8_t> stale(idx(g.num_levels), 0);
   const auto mark = [&](int l) {
     if (l >= 0 && l < g.num_levels) stale[idx(l)] = 1;
@@ -232,8 +273,10 @@ void rebuild_after_delta(CircuitGraph& g, const std::vector<int>& old_level,
   for (int v : changed) {
     mark(old_level[idx(v)]);
     mark(g.level[idx(v)]);
-    for (int f : fanins[idx(v)]) mark(g.level[idx(f)]);
-    for (int u : fanouts[idx(v)]) mark(g.level[idx(u)]);
+  }
+  for (const auto& [src, dst] : g.edges) {
+    if (is_changed[idx(dst)] != 0) mark(g.level[idx(src)]);
+    if (is_changed[idx(src)] != 0) mark(g.level[idx(dst)]);
   }
   for (const auto& e : g.skip_edges)
     if (is_changed[idx(e.src)] != 0 || is_changed[idx(e.dst)] != 0) {
@@ -510,6 +553,8 @@ CircuitGraph CircuitGraph::merge(const std::vector<const CircuitGraph*>& parts) 
       throw std::invalid_argument("CircuitGraph::merge: num_types mismatch");
     if (p->pe_L != parts[0]->pe_L)
       throw std::invalid_argument("CircuitGraph::merge: pe_L mismatch");
+    if (p->h0_key.size() != static_cast<std::size_t>(p->num_nodes))
+      throw std::invalid_argument("CircuitGraph::merge: parts must be finalized");
   }
   out.num_types = parts[0]->num_types;
 
@@ -522,6 +567,7 @@ CircuitGraph CircuitGraph::merge(const std::vector<const CircuitGraph*>& parts) 
   out.members.reserve(parts.size());
   out.type_id.reserve(total_nodes);
   out.level.reserve(total_nodes);
+  out.h0_key.reserve(total_nodes);
   out.labels.reserve(total_nodes);
   out.edges.reserve(total_edges);
   out.skip_edges.reserve(total_skip);
@@ -532,9 +578,10 @@ CircuitGraph CircuitGraph::merge(const std::vector<const CircuitGraph*>& parts) 
   // makes merged forwards bit-exact per member.
   int offset = 0;
   for (const CircuitGraph* p : parts) {
-    out.members.push_back({offset, p->num_nodes, p->num_levels});
+    out.members.push_back({offset, p->num_nodes});
     out.type_id.insert(out.type_id.end(), p->type_id.begin(), p->type_id.end());
     out.level.insert(out.level.end(), p->level.begin(), p->level.end());
+    out.h0_key.insert(out.h0_key.end(), p->h0_key.begin(), p->h0_key.end());
     out.labels.insert(out.labels.end(), p->labels.begin(), p->labels.end());
     for (const auto& [src, dst] : p->edges) out.edges.emplace_back(src + offset, dst + offset);
     for (const auto& e : p->skip_edges)
@@ -667,13 +714,18 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
   }
 
   const auto in_range = [&](int v) { return v >= 0 && v < cg.num_nodes; };
+  // Levels must be topological: the h0 key pass and every sweep read a
+  // node's sources as already final.
+  const auto climb = [&](int src, int dst) {
+    return cg.level[static_cast<std::size_t>(dst)] - cg.level[static_cast<std::size_t>(src)];
+  };
   const std::uint64_t num_edges = r.u64();
   if (!r.ok() || num_edges > r.remaining() / 8) return false;
   cg.edges.resize(static_cast<std::size_t>(num_edges));
   for (auto& [src, dst] : cg.edges) {
     src = r.i32();
     dst = r.i32();
-    if (!r.ok() || !in_range(src) || !in_range(dst)) return false;
+    if (!r.ok() || !in_range(src) || !in_range(dst) || climb(src, dst) < 1) return false;
   }
   const std::uint64_t num_skip = r.u64();
   if (!r.ok() || num_skip > r.remaining() / 12) return false;
@@ -682,7 +734,9 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
     e.src = r.i32();
     e.dst = r.i32();
     e.level_diff = r.i32();
-    if (!r.ok() || !in_range(e.src) || !in_range(e.dst) || e.level_diff < 0) return false;
+    if (!r.ok() || !in_range(e.src) || !in_range(e.dst) || e.level_diff < 1 ||
+        e.level_diff != climb(e.src, e.dst))
+      return false;
   }
   cg.labels.resize(n);
   for (auto& l : cg.labels) l = r.f32();
@@ -700,7 +754,7 @@ bool bit_equal(const CircuitGraph& a, const CircuitGraph& b) {
   };
   if (a.num_nodes != b.num_nodes || a.num_types != b.num_types || a.pe_L != b.pe_L ||
       a.type_id != b.type_id || a.level != b.level || a.edges != b.edges ||
-      a.labels != b.labels)
+      a.labels != b.labels || a.h0_key != b.h0_key)
     return false;
   if (a.skip_edges.size() != b.skip_edges.size()) return false;
   for (std::size_t i = 0; i < a.skip_edges.size(); ++i)

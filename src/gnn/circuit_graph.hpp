@@ -45,13 +45,10 @@ struct LevelBatch {
 /// One member of a level-merged super-graph built by CircuitGraph::merge().
 /// Node ids [node_offset, node_offset + num_nodes) of the merged graph are
 /// the member's nodes in their original order — the scatter map that splits
-/// merged per-node outputs back out per graph. num_levels is the member's
-/// own depth, needed to replay its h0 random stream exactly (see
-/// init_level_states).
+/// merged per-node outputs back out per graph.
 struct GraphMember {
   int node_offset = 0;
   int num_nodes = 0;
-  int num_levels = 0;
 };
 
 struct CircuitGraph {
@@ -82,6 +79,19 @@ struct CircuitGraph {
   std::vector<int> level_order;  ///< nodes concatenated level by level
   std::vector<int> node_pos;     ///< node -> row within its level tensor
 
+  /// Structural key per node, local to its member graph; it seeds the
+  /// node's random h0 row (init_level_states). A node with fanins hashes its
+  /// type with its fanins' keys in canonical order; a node without fanins
+  /// (every level-0 node) hashes its type with its rank among the fanin-free
+  /// nodes in level order. A structural duplicate (same type, same fanin
+  /// keys) is rehashed once per earlier occurrence in level order, so no two
+  /// nodes of one member share a key. Independent of node ids and level
+  /// positions: a delta edit changes the keys of the edited nodes' fan-out
+  /// cones only (and, for fanin-free nodes, of later fanin-free nodes).
+  /// Derived in the layout rebuild; merge() concatenates its parts' keys
+  /// instead, so a merged member keeps exactly its solo keys.
+  std::vector<std::uint64_t> h0_key;
+
   // Per-level batches. fwd[L] feeds level L from predecessors (L >= 1);
   // fwd_skip additionally contains skip edges with gamma(D) attributes;
   // rev[L] feeds level L from successors (processed in decreasing L).
@@ -97,7 +107,8 @@ struct CircuitGraph {
   std::vector<std::vector<int>> nodes_of_type;
 
   /// Compute all derived structures. `pe_L` is the L of Eq. (7) (encoding
-  /// width 2L). Must be called after type_id/level/edges/skip_edges are set.
+  /// width 2L). Must be called after type_id/level/edges/skip_edges are set,
+  /// with levels topological (level[src] < level[dst] on every edge).
   void finalize(int pe_L = 8);
 
   /// Build from an explicit AIG gate graph with simulated labels; detects
@@ -115,8 +126,9 @@ struct CircuitGraph {
   /// pe_L (throws std::invalid_argument otherwise). Within each merged level
   /// the members' nodes stay contiguous and in member order, and each
   /// member's per-destination edge order is preserved, so a forward over the
-  /// merged graph is bit-exact with each member running alone (models replay
-  /// per-member h0 streams via `members`). merge({}) yields an empty graph.
+  /// merged graph is bit-exact with each member running alone (every member
+  /// keeps its h0_key block, so it draws its solo h0 rows). Parts must be
+  /// finalized. merge({}) yields an empty graph.
   static CircuitGraph merge(const std::vector<const CircuitGraph*>& parts);
 
   bool is_batch() const { return !members.empty(); }
@@ -171,13 +183,15 @@ struct CircuitGraph {
 
   /// Parse one graph starting at `offset` (advanced past it on success) and
   /// finalize it. Returns false — leaving `g` unspecified — on truncation or
-  /// any structural violation (ids out of range, bad levels, label count).
+  /// any structural violation (ids out of range, bad levels, an edge that does
+  /// not climb levels, a skip edge whose level_diff is not the climb between
+  /// its endpoints' stored levels, label count).
   static bool deserialize(const std::uint8_t* data, std::size_t size, std::size_t& offset,
                           CircuitGraph& g);
 };
 
 /// Bitwise equality of the defining fields plus the derived positional
-/// encodings (the determinism contract of the dataset pipeline).
+/// encodings and h0 keys (the determinism contract of the dataset pipeline).
 bool bit_equal(const CircuitGraph& a, const CircuitGraph& b);
 
 /// Copy member m's rows [node_offset, node_offset + num_nodes) out of a

@@ -27,7 +27,7 @@ class GcnModel final : public Model {
 
   Tensor embed(const CircuitGraph& g) const override {
     count_full_forward();
-    Tensor h = init_full_state(g, cfg_.dim, /*random_init=*/false, cfg_.seed);
+    Tensor h = init_full_state(g, cfg_.dim);
     const Tensor inv_deg = nn::constant(
         nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.und_inv_deg)));
     Tensor pe;  // undefined: GCN has no skip-edge attributes
@@ -105,15 +105,17 @@ class GcnModel final : public Model {
     count_partial_forward();
 
     DirtySeedOptions opts;
-    opts.track_layout = false;  // h0 and the und arrays never read (level, pos)
+    opts.track_layout = false;  // one-hot h0 and the und arrays read no keys or levels
     opts.track_reverse = true;  // undirected: fanout edges feed messages too
-    std::vector<std::uint8_t> dirty = dirty_seeds(g, memo.snap, old_of_new, opts);
+    GraphSnapshot now;
+    now.capture(g);
+    std::vector<std::uint8_t> dirty = dirty_seeds(now, memo.snap, old_of_new, opts);
 
     const int n = g.num_nodes;
     const int dim = cfg_.dim;
     std::vector<std::vector<nn::Matrix>> all;
     all.reserve(aggs_.size() + 1);
-    all.push_back({init_full_state(g, dim, /*random_init=*/false, cfg_.seed).value()});
+    all.push_back({init_full_state(g, dim).value()});
 
     for (std::size_t l = 0; l < aggs_.size(); ++l) {
       // One-hop spread: a row's message reads its neighbors' entry states.
@@ -160,7 +162,7 @@ class GcnModel final : public Model {
     nn::Matrix emb_out = emb;
     memo.checkpoints = std::move(all);
     memo.has_checkpoints = true;
-    memo.snap.capture(g);
+    memo.snap = std::move(now);
     memo.prediction = pred;
     memo.embedding = emb_out;
     memo.valid = true;
@@ -240,7 +242,7 @@ class GcnModel final : public Model {
     const bool capture = memo != nullptr;
     const bool store = capture && checkpoint_mb(g) <= incremental_memo_cap_mb();
 
-    Tensor h = init_full_state(g, cfg_.dim, /*random_init=*/false, cfg_.seed);
+    Tensor h = init_full_state(g, cfg_.dim);
     const Tensor inv_deg = nn::constant(
         nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.und_inv_deg)));
     Tensor pe;

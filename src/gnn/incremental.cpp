@@ -45,6 +45,7 @@ void GraphSnapshot::capture(const CircuitGraph& g) {
   level = g.level;
   pos = g.node_pos;
   type = g.type_id;
+  h0_key = g.h0_key;
   fanins = g.fanin_lists();
   fanouts.assign(n, {});
   for (const auto& [src, dst] : g.edges) fanouts[static_cast<std::size_t>(src)].push_back(dst);
@@ -62,121 +63,136 @@ void GraphSnapshot::capture(const CircuitGraph& g) {
   }
 }
 
-std::vector<std::uint8_t> dirty_seeds(const CircuitGraph& g, const GraphSnapshot& snap,
+std::vector<std::uint8_t> dirty_seeds(const GraphSnapshot& now, const GraphSnapshot& then,
                                       const std::vector<int>& old_of_new,
                                       const DirtySeedOptions& opts) {
-  const auto n = static_cast<std::size_t>(g.num_nodes);
+  const auto n = static_cast<std::size_t>(now.num_nodes);
   assert(old_of_new.size() == n);
   std::vector<std::uint8_t> dirty(n, 0);
 
-  const std::vector<std::vector<int>> fanins = g.fanin_lists();
-  std::vector<std::vector<int>> fanouts(n);
-  for (const auto& [src, dst] : g.edges) fanouts[static_cast<std::size_t>(src)].push_back(dst);
-  std::vector<std::vector<std::pair<int, int>>> skip_fanins(n);
-  for (const auto& e : g.skip_edges)
-    skip_fanins[static_cast<std::size_t>(e.dst)].emplace_back(e.src, e.level_diff);
-
   // A neighbor list matches when it has the same length and every current
   // neighbor existed at the snapshot with the same old id in the same slot.
-  const auto lists_match = [&](const std::vector<int>& now, const std::vector<int>& then) {
-    if (now.size() != then.size()) return false;
-    for (std::size_t i = 0; i < now.size(); ++i)
-      if (old_of_new[static_cast<std::size_t>(now[i])] != then[i]) return false;
+  const auto lists_match = [&](const std::vector<int>& a, const std::vector<int>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (old_of_new[static_cast<std::size_t>(a[i])] != b[i]) return false;
+    return true;
+  };
+  const auto skips_match = [&](const std::vector<std::pair<int, int>>& a,
+                               const std::vector<std::pair<int, int>>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (old_of_new[static_cast<std::size_t>(a[i].first)] != b[i].first ||
+          a[i].second != b[i].second)
+        return false;
     return true;
   };
 
-  for (int v = 0; v < g.num_nodes; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const int o = old_of_new[vi];
-    if (o < 0 || o >= snap.num_nodes) {
-      dirty[vi] = 1;  // node did not exist at the memoized generation
+  for (std::size_t v = 0; v < n; ++v) {
+    const int o = old_of_new[v];
+    if (o < 0 || o >= then.num_nodes) {
+      dirty[v] = 1;  // node did not exist at the memoized generation
       continue;
     }
     const auto oi = static_cast<std::size_t>(o);
-    if (snap.type[oi] != g.type_id[vi]) {
-      dirty[vi] = 1;
-      continue;
-    }
-    if (opts.track_layout &&
-        (snap.level[oi] != g.level[vi] || snap.pos[oi] != g.node_pos[vi])) {
-      dirty[vi] = 1;  // random-h0 cell and batch coordinates both moved
-      continue;
-    }
-    if (!lists_match(fanins[vi], snap.fanins[oi])) {
-      dirty[vi] = 1;
-      continue;
-    }
-    const auto& sk_now = skip_fanins[vi];
-    const auto& sk_then = snap.skip_fanins[oi];
-    bool skip_ok = sk_now.size() == sk_then.size();
-    for (std::size_t i = 0; skip_ok && i < sk_now.size(); ++i)
-      skip_ok = old_of_new[static_cast<std::size_t>(sk_now[i].first)] == sk_then[i].first &&
-                sk_now[i].second == sk_then[i].second;
-    if (!skip_ok) {
-      dirty[vi] = 1;
-      continue;
-    }
-    if (opts.track_reverse && !lists_match(fanouts[vi], snap.fanouts[oi])) {
-      dirty[vi] = 1;
-      continue;
-    }
-    if (opts.track_layout) {
-      // Same level then and now (layout matched above) — but the level's
-      // update pattern flips when a batch goes (non)empty.
-      const auto L = static_cast<std::size_t>(g.level[vi]);
-      const auto oL = static_cast<std::size_t>(snap.level[oi]);
-      const std::uint8_t fwd_now = g.fwd[L].empty() ? 0 : 1;
-      const std::uint8_t fws_now = g.fwd_skip[L].empty() ? 0 : 1;
-      if (fwd_now != snap.fwd_nonempty[oL] || fws_now != snap.fwd_skip_nonempty[oL]) {
-        dirty[vi] = 1;
-        continue;
-      }
-      if (opts.track_reverse) {
-        const std::uint8_t rev_now = g.rev[L].empty() ? 0 : 1;
-        if (rev_now != snap.rev_nonempty[oL]) dirty[vi] = 1;
-      }
-    }
+    const auto L = static_cast<std::size_t>(now.level[v]);
+    const auto oL = static_cast<std::size_t>(then.level[oi]);
+    // Layout: a moved key redraws the h0 row; a moved level reorders the
+    // segments the node appears in (sources are sorted by level); a level
+    // batch going (non)empty flips the level's update pattern.
+    const bool layout_same =
+        !opts.track_layout ||
+        (now.h0_key[v] == then.h0_key[oi] && L == oL &&
+         now.fwd_nonempty[L] == then.fwd_nonempty[oL] &&
+         now.fwd_skip_nonempty[L] == then.fwd_skip_nonempty[oL] &&
+         (!opts.track_reverse || now.rev_nonempty[L] == then.rev_nonempty[oL]));
+    const bool same = now.type[v] == then.type[oi] && layout_same &&
+                      lists_match(now.fanins[v], then.fanins[oi]) &&
+                      skips_match(now.skip_fanins[v], then.skip_fanins[oi]) &&
+                      (!opts.track_reverse || lists_match(now.fanouts[v], then.fanouts[oi]));
+    dirty[v] = same ? 0 : 1;
   }
   return dirty;
 }
 
 namespace {
 
-/// h0 per-level matrices of the current graph — checkpoint 0. Fresh values
-/// equal the memoized checkpoint 0 bitwise on every clean row: the random
-/// stream is a pure function of (seed, level, row) and the padded variant of
-/// the gate type (see model_common's h0_row_seed).
+/// Level L of the current layout with every clean row (row_dirty 0) holding
+/// its value in `memo`, the snapshot layout's matrices. A clean node never
+/// changed level (dirty_seeds tracks layout), so its row sits in memo[L]; if
+/// every clean row also kept its position, memo[L] is taken over in place.
+/// Dirty rows are left for the caller to overwrite.
+nn::Matrix reuse_level(std::vector<nn::Matrix>& memo, int L, const CircuitGraph& g,
+                       const GraphSnapshot& snap, const std::vector<int>& old_of_new,
+                       const std::vector<std::uint8_t>& row_dirty, int dim) {
+  const std::size_t lvl = static_cast<std::size_t>(L);
+  const auto& nodes = g.nodes_at_level[lvl];
+  const int num_dst = static_cast<int>(nodes.size());
+  const auto old_pos = [&](int r) {
+    const int o = old_of_new[static_cast<std::size_t>(nodes[static_cast<std::size_t>(r)])];
+    assert(o >= 0 && snap.level[static_cast<std::size_t>(o)] == L);
+    return snap.pos[static_cast<std::size_t>(o)];
+  };
+  bool in_place = lvl < memo.size() && memo[lvl].rows() == num_dst;
+  for (int r = 0; in_place && r < num_dst; ++r)
+    in_place = row_dirty[static_cast<std::size_t>(r)] != 0 || old_pos(r) == r;
+  if (in_place) return std::move(memo[lvl]);
+  nn::Matrix out(num_dst, dim);
+  for (int r = 0; r < num_dst; ++r)
+    if (row_dirty[static_cast<std::size_t>(r)] == 0) {
+      const float* src = memo[lvl].row_ptr(old_pos(r));
+      std::copy(src, src + dim, out.row_ptr(r));
+    }
+  return out;
+}
+
+/// Checkpoint 0 in the current layout: clean rows from the memo (a clean
+/// node kept its type and h0 key, so its h0 row is the memo's bitwise), h0
+/// drawn afresh for dirty-seed rows only.
 std::vector<nn::Matrix> h0_levels(const CircuitGraph& g, const ModelConfig& cfg,
-                                  bool random_h0) {
-  std::vector<Tensor> states = init_level_states(g, cfg.dim, random_h0, cfg.seed);
+                                  std::vector<nn::Matrix>& memo, const GraphSnapshot& snap,
+                                  const std::vector<int>& old_of_new,
+                                  const std::vector<std::uint8_t>& dirty) {
   std::vector<nn::Matrix> mats;
-  mats.reserve(states.size());
-  for (const Tensor& t : states) mats.push_back(t.value());
+  mats.reserve(static_cast<std::size_t>(g.num_levels));
+  for (int L = 0; L < g.num_levels; ++L) {
+    const auto& nodes = g.nodes_at_level[static_cast<std::size_t>(L)];
+    std::vector<std::uint8_t> row_dirty(nodes.size());
+    for (std::size_t r = 0; r < nodes.size(); ++r)
+      row_dirty[r] = dirty[static_cast<std::size_t>(nodes[r])];
+    nn::Matrix m = reuse_level(memo, L, g, snap, old_of_new, row_dirty, cfg.dim);
+    for (std::size_t r = 0; r < nodes.size(); ++r)
+      if (row_dirty[r] != 0)
+        init_node_state(g, nodes[r], cfg.dim, cfg.random_h0, cfg.seed,
+                        m.row_ptr(static_cast<int>(r)));
+    mats.push_back(std::move(m));
+  }
   return mats;
 }
 
 /// One sweep of the cone-limited path. `prev` holds the sweep-entry states
 /// (current values), `memo_next` the memoized post-sweep states in the
-/// snapshot layout. `dirty` is the evolving per-node dirty set: rows whose
-/// value after this sweep may differ from the memo; it only grows.
+/// snapshot layout (consumed). `dirty` is the evolving per-node dirty set:
+/// rows whose value after this sweep may differ from the memo; it only grows.
 std::vector<nn::Matrix> partial_sweep(const DirectedLayer& layer, const CircuitGraph& g,
                                       const std::vector<nn::Matrix>& prev,
-                                      const std::vector<nn::Matrix>& memo_next,
+                                      std::vector<nn::Matrix>& memo_next,
                                       const GraphSnapshot& snap,
                                       const std::vector<int>& old_of_new,
                                       std::vector<std::uint8_t>& dirty) {
-  // Entry values carry through levels whose batch is empty; processed levels
-  // are overwritten below, in sweep order, so source gathers always see the
-  // sweep's current values.
-  std::vector<nn::Matrix> cur = prev;
+  // Filled in sweep order, so source gathers always see the sweep's current
+  // values; levels the sweep skips keep their entry values.
+  std::vector<nn::Matrix> cur(prev.size());
 
   const auto process_level = [&](int L) {
     const std::size_t lvl = static_cast<std::size_t>(L);
     const LevelBatch& batch = layer.batch_at(g, L);
-    if (batch.empty()) return;  // cur[L] keeps entry values; dirtiness carries
+    if (batch.empty()) {
+      cur[lvl] = prev[lvl];  // dirtiness carries
+      return;
+    }
     const auto& nodes = g.nodes_at_level[lvl];
     const int num_dst = static_cast<int>(nodes.size());
-    const int dim = prev[lvl].cols();
 
     std::vector<std::uint8_t> row_dirty(static_cast<std::size_t>(num_dst), 0);
     for (int r = 0; r < num_dst; ++r)
@@ -192,33 +208,24 @@ std::vector<nn::Matrix> partial_sweep(const DirectedLayer& layer, const CircuitG
         ++e;
       }
 
+    nn::Matrix out =
+        reuse_level(memo_next, L, g, snap, old_of_new, row_dirty, prev[lvl].cols());
     std::vector<int> rows;
-    nn::Matrix out(num_dst, dim);
-    for (int r = 0; r < num_dst; ++r) {
-      if (row_dirty[static_cast<std::size_t>(r)] != 0) {
-        rows.push_back(r);
-        continue;
-      }
-      // Clean row: its post-sweep value is the memo's, located by node
-      // identity in the snapshot layout (for a clean node that is the same
-      // (level, pos) cell, but the identity lookup stays correct even so).
-      const int v = nodes[static_cast<std::size_t>(r)];
-      const int o = old_of_new[static_cast<std::size_t>(v)];
-      assert(o >= 0);
-      const float* src = memo_next[static_cast<std::size_t>(snap.level[static_cast<std::size_t>(o)])]
-                             .row_ptr(snap.pos[static_cast<std::size_t>(o)]);
-      std::copy(src, src + dim, out.row_ptr(r));
-    }
+    for (int r = 0; r < num_dst; ++r)
+      if (row_dirty[static_cast<std::size_t>(r)] != 0) rows.push_back(r);
     if (!rows.empty()) layer.run_level_rows(g, L, rows, cur, prev[lvl], out);
     for (const int r : rows)
       dirty[static_cast<std::size_t>(nodes[static_cast<std::size_t>(r)])] = 1;
     cur[lvl] = std::move(out);
   };
 
+  const int top = g.num_levels - 1;
   if (!layer.reversed()) {
-    for (int L = 1; L < g.num_levels; ++L) process_level(L);
+    cur[0] = prev[0];
+    for (int L = 1; L <= top; ++L) process_level(L);
   } else {
-    for (int L = g.num_levels - 2; L >= 0; --L) process_level(L);
+    cur[static_cast<std::size_t>(top)] = prev[static_cast<std::size_t>(top)];
+    for (int L = top - 1; L >= 0; --L) process_level(L);
   }
   return cur;
 }
@@ -235,10 +242,8 @@ nn::Matrix stitch_levels(const std::vector<nn::Matrix>& states, const CircuitGra
   return full;
 }
 
-void refresh_memo_outputs(LevelMemo& memo, const CircuitGraph& g, const nn::Matrix& pred,
+void refresh_memo_outputs(LevelMemo& memo, GraphSnapshot&& snap, const nn::Matrix& pred,
                           const nn::Matrix& emb) {
-  GraphSnapshot snap;
-  snap.capture(g);
   memo.snap = std::move(snap);
   memo.prediction = pred;
   memo.embedding = emb;
@@ -283,7 +288,9 @@ ForwardOutputs run_full_capture(const CircuitGraph& g,
   if (capture) {
     memo->checkpoints = std::move(checkpoints);
     memo->has_checkpoints = store_checkpoints;
-    refresh_memo_outputs(*memo, g, pred.value(), h.value());
+    GraphSnapshot snap;
+    snap.capture(g);
+    refresh_memo_outputs(*memo, std::move(snap), pred.value(), h.value());
   }
   return {pred, h};
 }
@@ -347,13 +354,17 @@ ForwardOutputs run_layered_incremental(const CircuitGraph& g,
   bool any_reverse = false;
   for (const DirectedLayer* layer : sweeps) any_reverse |= layer->reversed();
   opts.track_reverse = any_reverse;
-  std::vector<std::uint8_t> dirty = dirty_seeds(g, memo.snap, old_of_new, opts);
+  GraphSnapshot now;
+  now.capture(g);
+  std::vector<std::uint8_t> dirty = dirty_seeds(now, memo.snap, old_of_new, opts);
 
-  // checkpoint 0 regenerated in the current layout; clean rows match the
-  // memo bitwise by h0's per-(level, row) construction.
+  // The sweeps consume the memo's checkpoints: until the refresh below, the
+  // memo is not valid.
+  memo.valid = false;
+  memo.has_checkpoints = false;
   std::vector<std::vector<nn::Matrix>> all_states;
   all_states.reserve(sweeps.size() + 1);
-  all_states.push_back(h0_levels(g, cfg, cfg.random_h0));
+  all_states.push_back(h0_levels(g, cfg, memo.checkpoints[0], memo.snap, old_of_new, dirty));
   for (std::size_t s = 0; s < sweeps.size(); ++s)
     all_states.push_back(partial_sweep(*sweeps[s], g, all_states[s],
                                        memo.checkpoints[s + 1], memo.snap, old_of_new, dirty));
@@ -382,7 +393,7 @@ ForwardOutputs run_layered_incremental(const CircuitGraph& g,
 
   memo.checkpoints = std::move(all_states);
   memo.has_checkpoints = true;
-  refresh_memo_outputs(memo, g, pred, emb);
+  refresh_memo_outputs(memo, std::move(now), pred, emb);
   return {nn::constant(std::move(pred)), nn::constant(std::move(emb))};
 }
 

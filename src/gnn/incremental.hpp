@@ -44,12 +44,14 @@ double incremental_memo_cap_mb();
 
 /// Structural snapshot of one graph generation, indexed by node id at
 /// snapshot time — everything the dirty-seed diff needs to decide whether a
-/// surviving node's forward inputs changed.
+/// surviving node's forward inputs changed, plus each node's (level, pos)
+/// cell to find its memoized rows.
 struct GraphSnapshot {
   std::uint64_t generation = 0;
   int num_nodes = 0;
   int num_levels = 0;
   std::vector<int> level, pos, type;
+  std::vector<std::uint64_t> h0_key;
   std::vector<std::vector<int>> fanins;                       ///< canonical per-dst order
   std::vector<std::vector<int>> fanouts;                      ///< canonical edge order
   std::vector<std::vector<std::pair<int, int>>> skip_fanins;  ///< (src, level_diff) per dst
@@ -62,25 +64,29 @@ struct GraphSnapshot {
 };
 
 /// Which structural differences make a node dirty. Layered families track
-/// layout (levels/positions drive both batch membership and the random-h0
-/// cells) and, when they run reversed sweeps, fanouts; the undirected GCN
-/// tracks fanins+fanouts but no layout.
+/// layout: the h0 key (it seeds the random-h0 row), the level (a segment's
+/// messages are ordered by source level) and the level's batch-emptiness
+/// flags; and, when they run reversed sweeps, fanouts. A moved position
+/// alone dirties nothing: clean rows are found by node identity. The
+/// undirected GCN tracks fanins+fanouts but no layout.
 struct DirtySeedOptions {
   bool track_layout = true;
   bool track_reverse = true;
 };
 
-/// Per-node dirty seeds: nodes whose h0 or per-level update inputs differ
-/// from the memoized generation. Conservative in the safe direction only.
-std::vector<std::uint8_t> dirty_seeds(const CircuitGraph& g, const GraphSnapshot& snap,
+/// Per-node dirty seeds: nodes of the `now` generation whose h0 or per-level
+/// update inputs differ from the memoized generation `then`. Conservative in
+/// the safe direction only.
+std::vector<std::uint8_t> dirty_seeds(const GraphSnapshot& now, const GraphSnapshot& then,
                                       const std::vector<int>& old_of_new,
                                       const DirtySeedOptions& opts);
 
 /// Memoized per-level states of one query: checkpoints[0] is h0,
 /// checkpoints[s + 1] the per-level states after sweep s, all in the
-/// snapshot generation's layout. `has_checkpoints` is false when the
-/// estimated footprint exceeded the memo cap — outputs are still cached so
-/// unchanged re-queries stay free.
+/// snapshot generation's layout. A partial run consumes them: a level whose
+/// clean rows kept their positions is taken over in place. `has_checkpoints`
+/// is false when the estimated footprint exceeded the memo cap — outputs are
+/// still cached so unchanged re-queries stay free.
 struct LevelMemo {
   bool valid = false;
   bool has_checkpoints = false;

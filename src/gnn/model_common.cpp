@@ -3,6 +3,7 @@
 #include "nn/ops.hpp"
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -116,33 +117,24 @@ Tensor full_onehot(const CircuitGraph& g) {
 
 namespace {
 
-nn::Matrix padded_onehot_rows(const std::vector<int>& nodes, const CircuitGraph& g, int dim) {
-  nn::Matrix m(static_cast<int>(nodes.size()), dim);
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    m.at(static_cast<int>(i), g.type_id[static_cast<std::size_t>(nodes[i])]) = 1.0F;
-  return m;
-}
-
 constexpr std::uint64_t kH0SeedMix = 0xd1f7a2b3c4e5f607ULL;
 
-/// Seed of the h0 row at (level, row): a SplitMix64-style finalizer over the
-/// model seed and the cell coordinates, so every row owns an independent
-/// stream. Counter-based rather than one sequential stream per graph on
-/// purpose: a delta edit that leaves a node's (level, row) cell in place
-/// keeps its h0 bitwise stable, which is what lets the incremental path
-/// (gnn/incremental.hpp) treat h0 as a per-node property and reuse memoized
-/// states outside the edit's cone. `level` -1 is the whole-graph
-/// (init_full_state) stream. util::Rng applies its own SplitMix64 pass on
-/// top of the returned value.
-std::uint64_t h0_row_seed(std::uint64_t seed, int level, int row) {
-  std::uint64_t z = seed ^ kH0SeedMix;
-  z += 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(level) + 2);
+/// Seed of a node's h0 row: a SplitMix64-style finalizer over the model seed
+/// and the node's member-local structural key (CircuitGraph::h0_key), so
+/// every row owns an independent stream that depends on neither node ids nor
+/// level positions. A delta edit therefore redraws h0 only where keys moved,
+/// which lets the incremental path (gnn/incremental.hpp) treat h0 as a
+/// per-node property and reuse memoized states outside the edit's cone, and
+/// a merged batch draws every member's solo rows. util::Rng applies its own
+/// SplitMix64 pass on top of the returned value.
+std::uint64_t h0_row_seed(std::uint64_t seed, std::uint64_t key) {
+  std::uint64_t z = (seed ^ kH0SeedMix) + 0x9e3779b97f4a7c15ULL;
   z ^= z >> 30;
   z *= 0xbf58476d1ce4e5b9ULL;
   z ^= z >> 27;
   z *= 0x94d049bb133111ebULL;
   z ^= z >> 31;
-  z += 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(row) + 1);
+  z += key;
   z ^= z >> 30;
   z *= 0xbf58476d1ce4e5b9ULL;
   z ^= z >> 27;
@@ -151,104 +143,37 @@ std::uint64_t h0_row_seed(std::uint64_t seed, int level, int row) {
   return z;
 }
 
-/// Fill one h0 row exactly as nn::normal would fill a 1 x dim matrix from a
-/// fresh Rng(h0_row_seed(...)): stddev * next_normal() per element. The
-/// per-row Rng also means Box-Muller's spare draw never leaks across rows.
-void fill_h0_row(float* dst, int dim, std::uint64_t row_seed) {
-  util::Rng rng(row_seed);
-  const float stddev = 1.0F / std::sqrt(static_cast<float>(dim));
-  for (int c = 0; c < dim; ++c) dst[c] = stddev * rng.next_normal();
-}
-
-nn::Matrix random_level_rows(int level, int rows, int dim, std::uint64_t seed) {
-  nn::Matrix m(rows, dim);
-  for (int r = 0; r < rows; ++r) fill_h0_row(m.row_ptr(r), dim, h0_row_seed(seed, level, r));
-  return m;
-}
-
-/// Per (member, level) contiguous row block within the merged level tensors.
-/// nodes_at_level is sorted by node id and member id ranges are contiguous,
-/// so member m's rows of level L are always one block.
-struct MemberLevelRows {
-  std::vector<int> start;  // [member * num_levels + level]
-  std::vector<int> count;
-};
-
-MemberLevelRows member_level_rows(const CircuitGraph& g) {
-  MemberLevelRows rows;
-  const std::size_t cells = g.members.size() * static_cast<std::size_t>(g.num_levels);
-  rows.start.assign(cells, 0);
-  rows.count.assign(cells, 0);
-  for (int L = 0; L < g.num_levels; ++L) {
-    const std::vector<int> member_of_row = g.member_of_level_rows(L);
-    for (std::size_t i = 0; i < member_of_row.size(); ++i) {
-      const std::size_t cell =
-          static_cast<std::size_t>(member_of_row[i]) * static_cast<std::size_t>(g.num_levels) +
-          static_cast<std::size_t>(L);
-      if (rows.count[cell] == 0) rows.start[cell] = static_cast<int>(i);
-      ++rows.count[cell];
-    }
-  }
-  return rows;
-}
-
-/// Random h0 for a batched graph: each member's rows replay the member's own
-/// per-(level, row) cells — the exact values init_level_states draws for the
-/// member alone — scattered into the merged level tensors, so merged
-/// inference is bit-exact with every member running solo.
-std::vector<nn::Matrix> batched_random_level_rows(const CircuitGraph& g, int dim,
-                                                  std::uint64_t seed) {
-  std::vector<nn::Matrix> mats;
-  mats.reserve(static_cast<std::size_t>(g.num_levels));
-  for (const auto& nodes : g.nodes_at_level)
-    mats.emplace_back(static_cast<int>(nodes.size()), dim);  // zero-initialized
-  const MemberLevelRows rows = member_level_rows(g);
-  for (std::size_t m = 0; m < g.members.size(); ++m) {
-    for (int L = 0; L < g.members[m].num_levels; ++L) {
-      const std::size_t cell =
-          m * static_cast<std::size_t>(g.num_levels) + static_cast<std::size_t>(L);
-      for (int r = 0; r < rows.count[cell]; ++r)
-        fill_h0_row(mats[static_cast<std::size_t>(L)].row_ptr(rows.start[cell] + r), dim,
-                    h0_row_seed(seed, L, r));
-    }
-  }
-  return mats;
-}
-
 }  // namespace
+
+void init_node_state(const CircuitGraph& g, int v, int dim, bool random_init,
+                     std::uint64_t seed, float* dst) {
+  const auto vi = static_cast<std::size_t>(v);
+  if (random_init) {
+    // As nn::normal fills a 1 x dim matrix; the per-row Rng keeps
+    // Box-Muller's spare draw from leaking across rows.
+    util::Rng rng(h0_row_seed(seed, g.h0_key[vi]));
+    const float stddev = 1.0F / std::sqrt(static_cast<float>(dim));
+    for (int c = 0; c < dim; ++c) dst[c] = stddev * rng.next_normal();
+    return;
+  }
+  std::fill(dst, dst + dim, 0.0F);
+  dst[g.type_id[vi]] = 1.0F;
+}
 
 std::vector<Tensor> init_level_states(const CircuitGraph& g, int dim, bool random_init,
                                       std::uint64_t seed) {
   std::vector<Tensor> states;
   states.reserve(static_cast<std::size_t>(g.num_levels));
-  if (random_init && g.is_batch()) {
-    for (nn::Matrix& m : batched_random_level_rows(g, dim, seed))
-      states.push_back(nn::constant(std::move(m)));
-    return states;
-  }
-  for (int L = 0; L < g.num_levels; ++L) {
-    const auto& nodes = g.nodes_at_level[static_cast<std::size_t>(L)];
-    nn::Matrix m = random_init ? random_level_rows(L, static_cast<int>(nodes.size()), dim, seed)
-                               : padded_onehot_rows(nodes, g, dim);
+  for (const auto& nodes : g.nodes_at_level) {
+    nn::Matrix m(static_cast<int>(nodes.size()), dim);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      init_node_state(g, nodes[i], dim, random_init, seed, m.row_ptr(static_cast<int>(i)));
     states.push_back(nn::constant(std::move(m)));
   }
   return states;
 }
 
-Tensor init_full_state(const CircuitGraph& g, int dim, bool random_init, std::uint64_t seed) {
-  if (random_init) {
-    if (g.is_batch()) {
-      // Member node ids are contiguous, so each member's h0 block lands on
-      // rows [node_offset, node_offset + num_nodes) — replayed per member
-      // from its own (level -1, member-local row) cells.
-      nn::Matrix m(g.num_nodes, dim);
-      for (const GraphMember& mem : g.members)
-        for (int r = 0; r < mem.num_nodes; ++r)
-          fill_h0_row(m.row_ptr(mem.node_offset + r), dim, h0_row_seed(seed, -1, r));
-      return nn::constant(std::move(m));
-    }
-    return nn::constant(random_level_rows(-1, g.num_nodes, dim, seed));
-  }
+Tensor init_full_state(const CircuitGraph& g, int dim) {
   nn::Matrix m(g.num_nodes, dim);
   for (int v = 0; v < g.num_nodes; ++v)
     m.at(v, g.type_id[static_cast<std::size_t>(v)]) = 1.0F;

@@ -179,12 +179,17 @@ std::vector<nn::Tensor> level_onehot(const CircuitGraph& g);
 nn::Tensor full_onehot(const CircuitGraph& g);
 
 /// Initial per-level hidden states: seeded-random N(0, 1/sqrt(d)) rows
-/// (DeepGate) or the one-hot features zero-padded to width d (baselines).
+/// (DeepGate), row v drawn from (seed, g.h0_key[v]) alone, or the one-hot
+/// features zero-padded to width d (baselines).
 std::vector<nn::Tensor> init_level_states(const CircuitGraph& g, int dim, bool random_init,
                                           std::uint64_t seed);
 
-/// Same for whole-graph models.
-nn::Tensor init_full_state(const CircuitGraph& g, int dim, bool random_init, std::uint64_t seed);
+/// Node v's row of init_level_states, written to dst[0, dim).
+void init_node_state(const CircuitGraph& g, int v, int dim, bool random_init,
+                     std::uint64_t seed, float* dst);
+
+/// Whole-graph models: the one-hot features zero-padded to width d (N x d).
+nn::Tensor init_full_state(const CircuitGraph& g, int dim);
 
 /// Stitch per-level states back into node order (N x d).
 nn::Tensor full_from_levels(const std::vector<nn::Tensor>& states, const CircuitGraph& g);

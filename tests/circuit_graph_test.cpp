@@ -6,6 +6,7 @@
 #include "synth/optimize.hpp"
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -167,6 +168,140 @@ TEST(CircuitGraph, GeneratedFamiliesFinalizeCleanly) {
     for (const auto& b : g.fwd) fwd_total += static_cast<std::size_t>(b.num_edges);
     EXPECT_EQ(fwd_total, g.edges.size());
   }
+}
+
+
+// -- h0 keys -------------------------------------------------------------------
+
+/// Defining fields only, finalized afresh.
+CircuitGraph rebuild(const CircuitGraph& g) {
+  CircuitGraph fresh;
+  fresh.num_nodes = g.num_nodes;
+  fresh.num_types = g.num_types;
+  fresh.type_id = g.type_id;
+  fresh.level = g.level;
+  fresh.edges = g.edges;
+  fresh.skip_edges = g.skip_edges;
+  fresh.labels = g.labels;
+  fresh.finalize(g.pe_L);
+  return fresh;
+}
+
+/// Three PIs, two structurally identical ANDs over (0, 1), two identical
+/// NOTs of the first AND, and an AND over (0, 1) fed in the other order.
+CircuitGraph duplicates_graph() {
+  CircuitGraph g;
+  g.num_nodes = 8;
+  g.type_id = {0, 0, 0, 1, 1, 2, 2, 1};
+  g.level = {0, 0, 0, 1, 1, 2, 2, 1};
+  g.edges = {{0, 3}, {1, 3}, {0, 4}, {1, 4}, {3, 5}, {3, 6}, {1, 7}, {0, 7}};
+  g.labels.assign(8, 0.5F);
+  g.finalize();
+  return g;
+}
+
+TEST(CircuitGraphH0Key, UniqueWithinAGraphIncludingPisAndDuplicates) {
+  for (const CircuitGraph& g : {diamond_graph(), duplicates_graph()}) {
+    ASSERT_EQ(g.h0_key.size(), static_cast<std::size_t>(g.num_nodes));
+    const std::set<std::uint64_t> keys(g.h0_key.begin(), g.h0_key.end());
+    EXPECT_EQ(keys.size(), g.h0_key.size());
+  }
+}
+
+TEST(CircuitGraphH0Key, IndependentOfNodeIds) {
+  // The diamond with its two middle ANDs swapped in id order: same
+  // structure, so the same multiset of keys, each on the matching node.
+  CircuitGraph a = duplicates_graph();
+  CircuitGraph b;
+  b.num_nodes = 8;
+  b.type_id = {0, 0, 0, 1, 2, 2, 1, 1};
+  b.level = {0, 0, 0, 1, 2, 2, 1, 1};
+  b.edges = {{0, 3}, {1, 3}, {3, 4}, {3, 5}, {0, 6}, {1, 6}, {1, 7}, {0, 7}};
+  b.labels.assign(8, 0.5F);
+  b.finalize();
+  EXPECT_EQ(a.h0_key[3], b.h0_key[3]);
+  EXPECT_EQ(a.h0_key[4], b.h0_key[6]);  // the second (duplicate) AND
+  EXPECT_EQ(a.h0_key[5], b.h0_key[4]);
+  EXPECT_EQ(a.h0_key[7], b.h0_key[7]);  // fanin order matters, not ids
+  EXPECT_NE(a.h0_key[3], a.h0_key[7]);
+}
+
+TEST(CircuitGraphH0Key, MergedMembersKeepTheirSoloKeys) {
+  const CircuitGraph a = diamond_graph();
+  const CircuitGraph b = duplicates_graph();
+  const CircuitGraph merged = CircuitGraph::merge({&a, &b, &a});
+  ASSERT_EQ(merged.members.size(), 3U);
+  const std::vector<const CircuitGraph*> parts{&a, &b, &a};
+  for (std::size_t m = 0; m < parts.size(); ++m) {
+    const GraphMember& mem = merged.members[m];
+    const auto begin = merged.h0_key.begin() + mem.node_offset;
+    EXPECT_TRUE(std::equal(begin, begin + mem.num_nodes, parts[m]->h0_key.begin()))
+        << "member " << m;
+  }
+}
+
+TEST(CircuitGraphH0Key, DeltaEditsMatchARebuild) {
+  CircuitGraph g = duplicates_graph();
+  g.delta_insert_node(1, {3, 2});
+  EXPECT_EQ(g.h0_key, rebuild(g).h0_key);
+  g.delta_delete_node(4);  // an earlier duplicate of node 3 goes
+  EXPECT_EQ(g.h0_key, rebuild(g).h0_key);
+  g.delta_rewire_node(7, {4, 2});  // the inserted AND climbs from level 2 to 3
+  EXPECT_EQ(g.level[7], 3);
+  EXPECT_EQ(g.h0_key, rebuild(g).h0_key);
+  g.delta_insert_node(0, {});
+  EXPECT_EQ(g.h0_key, rebuild(g).h0_key);
+  EXPECT_TRUE(bit_equal(g, rebuild(g)));
+}
+
+TEST(CircuitGraphH0Key, DeleteLeavesOtherKeysInPlace) {
+  // A sink outside the other nodes' fan-in cones: its deletion moves level
+  // positions but no surviving key.
+  CircuitGraph g = duplicates_graph();
+  const std::vector<std::uint64_t> before = g.h0_key;
+  g.delta_delete_node(6);
+  std::vector<std::uint64_t> expected = before;
+  expected.erase(expected.begin() + 6);
+  EXPECT_EQ(g.h0_key, expected);
+}
+
+TEST(CircuitGraphH0Key, BitEqualComparesKeys) {
+  const CircuitGraph g = duplicates_graph();
+  CircuitGraph h = g;
+  EXPECT_TRUE(bit_equal(g, h));
+  h.h0_key[2] ^= 1;
+  EXPECT_FALSE(bit_equal(g, h));
+}
+
+// -- Hostile serialized graphs ----------------------------------------------
+
+bool parses(const CircuitGraph& g) {
+  std::vector<std::uint8_t> bytes;
+  g.serialize(bytes);
+  CircuitGraph out;
+  std::size_t offset = 0;
+  return CircuitGraph::deserialize(bytes.data(), bytes.size(), offset, out);
+}
+
+TEST(CircuitGraphDeserialize, RejectsEdgesThatDoNotClimbLevels) {
+  CircuitGraph g = diamond_graph();
+  ASSERT_TRUE(parses(g));
+  CircuitGraph flat = g;
+  flat.level[static_cast<std::size_t>(flat.edges[0].second)] =
+      flat.level[static_cast<std::size_t>(flat.edges[0].first)];  // same level
+  EXPECT_FALSE(parses(flat));
+  CircuitGraph down = g;
+  std::swap(down.edges[0].first, down.edges[0].second);  // points downward
+  EXPECT_FALSE(parses(down));
+}
+
+TEST(CircuitGraphDeserialize, RejectsSkipEdgesWithAWrongLevelDiff) {
+  CircuitGraph g = diamond_graph();
+  ASSERT_FALSE(g.skip_edges.empty());
+  ASSERT_TRUE(parses(g));
+  CircuitGraph bad = g;
+  bad.skip_edges[0].level_diff += 1;
+  EXPECT_FALSE(parses(bad));
 }
 
 }  // namespace

@@ -242,6 +242,83 @@ TEST(IncrementalForwardCount, EmbedThenPredictUnchangedIsOneForward) {
   EXPECT_LT(session.last_stats().dirty_nodes, session.graph().num_nodes);
 }
 
+/// Two components in one plain graph: a's nodes take ids [0, a.num_nodes),
+/// b's follow, so every level lists a's nodes before b's.
+CircuitGraph plain_union(const CircuitGraph& a, const CircuitGraph& b) {
+  CircuitGraph g;
+  g.num_nodes = a.num_nodes + b.num_nodes;
+  g.num_types = a.num_types;
+  for (const CircuitGraph* part : {&a, &b}) {
+    const int off = part == &a ? 0 : a.num_nodes;
+    g.type_id.insert(g.type_id.end(), part->type_id.begin(), part->type_id.end());
+    g.level.insert(g.level.end(), part->level.begin(), part->level.end());
+    g.labels.insert(g.labels.end(), part->labels.begin(), part->labels.end());
+    for (const auto& [src, dst] : part->edges) g.edges.emplace_back(src + off, dst + off);
+    for (const auto& e : part->skip_edges)
+      g.skip_edges.push_back({e.src + off, e.dst + off, e.level_diff});
+  }
+  g.finalize();
+  return g;
+}
+
+// An edit inside one component must re-propagate that component only, even
+// when it shifts the level positions of the other component's nodes: h0 rows
+// are keyed by structure, not by (level, position).
+void expect_confined(dg::gnn::ModelFamily family) {
+  SCOPED_TRACE(dg::gnn::model_family_name(family));
+  const CircuitGraph a = random_graph(24, 31);
+  const CircuitGraph b = random_graph(24, 32);
+  const deepgate::Engine engine(small_options(family));
+  deepgate::IncrementalSession session(engine, plain_union(a, b));
+  engine.predict_incremental(session);  // full capture
+  int a_size = a.num_nodes;
+
+  // Delete a gate of a that feeds nothing, at a level b also holds, so every
+  // node of b at that level moves up one position.
+  const std::vector<int> fanouts = session.graph().fanout_counts();
+  int victim = -1;
+  for (int v = 0; v < a_size; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const CircuitGraph& g = session.graph();
+    if (fanouts[vi] == 0 && g.type_id[vi] != 0 && g.level[vi] < b.num_levels &&
+        (victim < 0 || g.level[vi] < g.level[static_cast<std::size_t>(victim)]))
+      victim = v;
+  }
+  ASSERT_GE(victim, 0);
+  session.delete_node(victim);
+  --a_size;
+  expect_bitwise(engine.predict_incremental(session),
+                 engine.predict_probabilities(rebuild(session.graph())), "after delete");
+  EXPECT_TRUE(session.last_stats().partial);
+  EXPECT_LE(session.last_stats().dirty_nodes, a_size) << "the delete dirtied the other component";
+
+  // Rewire the last gate of a at level >= 2 onto a level-0 fanin of a: it
+  // drops to level 1, leaving its old level and joining level 1 ahead of b.
+  int node = -1;
+  for (int v = 0; v < a_size; ++v)
+    if (session.graph().level[static_cast<std::size_t>(v)] >= 2) node = v;
+  ASSERT_GE(node, 0);
+  int pi = -1;
+  for (int v = 0; v < node && pi < 0; ++v)
+    if (session.graph().level[static_cast<std::size_t>(v)] == 0) pi = v;
+  ASSERT_GE(pi, 0);
+  session.rewire_node(node, {pi});
+  ASSERT_EQ(session.graph().level[static_cast<std::size_t>(node)], 1);
+  expect_bitwise(engine.predict_incremental(session),
+                 engine.predict_probabilities(rebuild(session.graph())), "after rewire");
+  EXPECT_TRUE(session.last_stats().partial);
+  EXPECT_LE(session.last_stats().dirty_nodes, a_size) << "the rewire dirtied the other component";
+  expect_bitwise(engine.embeddings_incremental(session),
+                 engine.embeddings(rebuild(session.graph())), "embedding after rewire");
+}
+
+TEST(IncrementalConfinement, EditsStayInTheirComponent) {
+  for (const auto family :
+       {dg::gnn::ModelFamily::kDeepGate, dg::gnn::ModelFamily::kDagRec,
+        dg::gnn::ModelFamily::kDagConv, dg::gnn::ModelFamily::kGcn})
+    expect_confined(family);
+}
+
 TEST(IncrementalSession, RejectsForeignAndDegenerateGraphs) {
   const deepgate::Engine a(small_options(dg::gnn::ModelFamily::kDeepGate));
   const deepgate::Engine b(small_options(dg::gnn::ModelFamily::kDeepGate));

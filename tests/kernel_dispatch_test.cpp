@@ -2,7 +2,8 @@
 // is held to the scalar oracle's contract:
 //
 //  * bitwise equality on the matmul family and elementwise kernels, across
-//    odd shapes (1x1, empty, non-multiple-of-8 tails) and alignments;
+//    odd shapes (1x1, empty, non-multiple-of-8 tails) and alignments, with
+//    the fast-math overlay pinned off whatever DEEPGATE_FAST_MATH says;
 //  * the zero-skip oracle property (exact zeros, negative zeros, denormals,
 //    Inf-bearing skipped B rows) — see nn/kernels.hpp;
 //  * bit-identical results at every DEEPGATE_THREADS value;
@@ -50,6 +51,16 @@ class ScopedLevel {
   SimdLevel prev_;
 };
 
+/// RAII: force the fast-math overlay, restore the previous setting on exit.
+class ScopedFastMath {
+ public:
+  explicit ScopedFastMath(bool on) : prev_(simd::set_fast_math(on)) {}
+  ~ScopedFastMath() { simd::set_fast_math(prev_); }
+
+ private:
+  bool prev_;
+};
+
 void expect_bitwise(const Matrix& got, const Matrix& want, const std::string& what) {
   ASSERT_TRUE(got.same_shape(want)) << what;
   if (want.size() == 0) return;
@@ -81,6 +92,7 @@ const Shape kShapes[] = {
 };
 
 TEST(KernelDispatch, MatmulFamilyBitwiseAcrossLevels) {
+  ScopedFastMath bitwise(false);  // the overlay is tolerance-bounded, not bitwise
   const auto levels = runnable_levels();
   util::Rng rng(101);
   for (const Shape& s : kShapes) {
@@ -111,6 +123,7 @@ TEST(KernelDispatch, MatmulFamilyBitwiseAcrossLevels) {
 }
 
 TEST(KernelDispatch, ElementwiseBitwiseAcrossLevels) {
+  ScopedFastMath bitwise(false);  // the overlay is tolerance-bounded, not bitwise
   const auto levels = runnable_levels();
   util::Rng rng(202);
   for (const int n : {1, 7, 8, 9, 31, 64, 100, 1000}) {
@@ -169,6 +182,7 @@ TEST(KernelDispatch, ElementwiseBitwiseAcrossLevels) {
 // The zero-skip contract of nn/kernels.hpp, checked by its observable
 // consequences on every backend.
 TEST(KernelDispatch, ZeroSkipOracleProperty) {
+  ScopedFastMath bitwise(false);
   constexpr float kInf = std::numeric_limits<float>::infinity();
   constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
   constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
@@ -342,16 +356,6 @@ TEST(KernelDispatch, ResolveAndNames) {
   EXPECT_EQ(SimdLevel::kScalar, simd::active());
   simd::set_level(prev);
 }
-
-/// RAII: force the fast-math overlay, restore the previous setting on exit.
-class ScopedFastMath {
- public:
-  explicit ScopedFastMath(bool on) : prev_(simd::set_fast_math(on)) {}
-  ~ScopedFastMath() { simd::set_fast_math(prev_); }
-
- private:
-  bool prev_;
-};
 
 // The DEEPGATE_FAST_MATH overlay must be strictly opt-in, ride the avx2
 // level only, and leave scalar untouched.
